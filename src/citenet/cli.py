@@ -64,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     _corpus_options(p)
     p.add_argument("--damping", type=float, default=0.85)
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=_positive_int, default=200)
+    p.add_argument("--max-iter", type=int, default=200)
     p.add_argument("--top", type=_positive_int, help="limit report to the top N nodes")
     _add_output_options(p)
     p.set_defaults(func=_cmd_pagerank)
@@ -72,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("hits", help="hub and authority scores")
     _corpus_options(p)
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=_positive_int, default=1000)
+    p.add_argument("--max-iter", type=int, default=1000)
     p.add_argument("--top", type=_positive_int)
     _add_output_options(p)
     p.set_defaults(func=_cmd_hits)
@@ -85,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source-years", metavar="A:B",
                    help="inclusive cited-year range (default: the two preceding years)")
     p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--max-iter", type=_positive_int, default=1000)
+    p.add_argument("--max-iter", type=int, default=1000)
     p.add_argument("--zero-diagonal", action="store_true", help="drop journal self-citations")
     p.add_argument(
         "--prune-nonreferencing",
@@ -235,12 +235,28 @@ def _score_table(
         columns=("Rank", "Id", value_name),
         formats=("d", "s", "g"),
         rows=tuple((i, node, score) for i, (node, score) in enumerate(ranked, 1)),
-        summary=(
-            ("Iterations", scores.iterations),
-            ("Residual", scores.residual),
-            ("Converged", str(scores.converged)),
-        ),
+        summary=_solver_summary(scores),
     )
+
+
+def _solver_summary(result: ranking.ScoreVector | ranking.InfluenceResult) -> tuple:
+    return (
+        ("Iterations", result.iterations),
+        ("Residual", result.residual),
+        ("Converged", str(result.converged)),
+    )
+
+
+def _exit_code(solver: str, result: ranking.ScoreVector | ranking.InfluenceResult) -> int:
+    """Exit 0 for a converged solve; otherwise warn and exit 3."""
+    if result.converged:
+        return EXIT_OK
+    print(
+        f"warning: {solver} did not converge in {result.iterations} iterations "
+        f"(residual {result.residual:g})",
+        file=sys.stderr,
+    )
+    return EXIT_NO_CONVERGENCE
 
 
 def _ranked_counts(graph: CitationGraph, by: str, year: int) -> concentration.RankedCounts:
@@ -289,14 +305,7 @@ def _cmd_pagerank(args) -> tuple[list[tuple[str, StudyTable]], int]:
     table = _score_table(
         f"PageRank (damping {args.damping:g})", scores, "Score", args.top
     )
-    code = EXIT_OK if scores.converged else EXIT_NO_CONVERGENCE
-    if not scores.converged:
-        print(
-            f"warning: pagerank did not converge in {scores.iterations} iterations "
-            f"(residual {scores.residual:g})",
-            file=sys.stderr,
-        )
-    return [("pagerank", table)], code
+    return [("pagerank", table)], _exit_code("pagerank", scores)
 
 
 def _cmd_hits(args) -> tuple[list[tuple[str, StudyTable]], int]:
@@ -306,14 +315,7 @@ def _cmd_hits(args) -> tuple[list[tuple[str, StudyTable]], int]:
         ("hits-authority", _score_table("HITS authority scores", authority, "Authority", args.top)),
         ("hits-hub", _score_table("HITS hub scores", hub, "Hub", args.top)),
     ]
-    code = EXIT_OK if authority.converged else EXIT_NO_CONVERGENCE
-    if not authority.converged:
-        print(
-            f"warning: hits did not converge in {authority.iterations} iterations "
-            f"(residual {authority.residual:g})",
-            file=sys.stderr,
-        )
-    return tables, code
+    return tables, _exit_code("hits", authority)
 
 
 def _cmd_influence(args) -> tuple[list[tuple[str, StudyTable]], int]:
@@ -377,20 +379,9 @@ def _cmd_influence(args) -> tuple[list[tuple[str, StudyTable]], int]:
         columns=("Rank", "Journal", "Weight", "Per Publication", "Pubs", "Total Influence"),
         formats=("d", "s", "g", "g", "d", "g"),
         rows=rows,
-        summary=(
-            ("Iterations", result.iterations),
-            ("Residual", result.residual),
-            ("Converged", str(result.converged)),
-        ),
+        summary=_solver_summary(result),
     )
-    code = EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
-    if not result.converged:
-        print(
-            f"warning: influence weights did not converge in {result.iterations} "
-            f"iterations (residual {result.residual:g})",
-            file=sys.stderr,
-        )
-    return [("influence", table)], code
+    return [("influence", table)], _exit_code("influence weights", result)
 
 
 def _cmd_total_cites(args) -> tuple[list[tuple[str, StudyTable]], int]:

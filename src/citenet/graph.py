@@ -174,9 +174,6 @@ class CitationGraph:
         """Distinct venues appearing in document metadata, sorted."""
         return tuple(sorted({d.venue for d in self.metadata.values() if d.venue}))
 
-    def docs_in_journal(self, journal: str) -> list[DocumentRecord]:
-        return [d for d in self.metadata.values() if d.venue == journal]
-
 
 def build_graph(
     edge_list: Iterable[tuple[str, str]],

@@ -3,18 +3,20 @@ and journal influence weights.
 
 All three solvers share the same shape: a node's score depends on the
 scores of the nodes that link to it, so a citation from a heavily cited
-source counts for more than one from an obscure source. Each is solved
-by power iteration over immutable inputs with a fixed reduction order,
-so identical inputs produce bit-identical outputs. Non-convergence is
-flagged on the result (with the final residual) rather than raised, so
-partial results stay inspectable.
+source counts for more than one from an obscure source. Each is a step
+function run by one power-iteration kernel (``_power_iterate``, which
+also validates ``tol`` and ``max_iter``) over immutable inputs with a
+fixed reduction order, so identical inputs produce bit-identical
+outputs. Non-convergence is flagged on the result (with the final
+residual) rather than raised, so partial results stay inspectable.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
+from typing import TypeVar
 
 import numpy as np
 
@@ -34,6 +36,34 @@ def _l2(a: np.ndarray) -> float:
     return math.sqrt(_dot(a, a))
 
 
+def _check_stopping(tol: float, max_iter: int) -> None:
+    """Reject stopping rules under which no solver can stop properly."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DataError(f"tol must be positive and finite, got {tol}")
+    if max_iter < 1:
+        raise DataError(f"max_iter must be >= 1, got {max_iter}")
+
+
+_State = TypeVar("_State")
+
+
+def _power_iterate(
+    step: Callable[[_State], tuple[_State, float]], x0: _State, tol: float, max_iter: int
+) -> tuple[_State, int, float, bool]:
+    """Apply ``step`` from ``x0`` until its residual drops below ``tol``.
+
+    ``step(x)`` returns the next iterate and the residual of the move.
+    Returns (last iterate, iterations run, last residual, converged).
+    """
+    _check_stopping(tol, max_iter)
+    x = x0
+    for iterations in range(1, max_iter + 1):
+        x, residual = step(x)
+        if residual < tol:
+            return x, iterations, residual, True
+    return x, max_iter, residual, False
+
+
 @dataclass(frozen=True)
 class PageRankParams:
     """PageRank solver parameters.
@@ -51,10 +81,7 @@ class PageRankParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.damping < 1.0:
             raise DataError(f"damping must be in (0, 1), got {self.damping}")
-        if self.tol <= 0.0:
-            raise DataError(f"tol must be positive, got {self.tol}")
-        if self.max_iter < 1:
-            raise DataError(f"max_iter must be >= 1, got {self.max_iter}")
+        _check_stopping(self.tol, self.max_iter)
 
 
 @dataclass(frozen=True)
@@ -93,6 +120,12 @@ class ScoreVector:
         return sorted(self.values.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
+def _scores(ids: Sequence[str], x: np.ndarray, *trace) -> ScoreVector:
+    """A solver's iterate keyed by id, carrying its (iterations,
+    residual, converged) trace from ``_power_iterate``."""
+    return ScoreVector(dict(zip(ids, x.tolist())), *trace)
+
+
 @dataclass(frozen=True)
 class InfluenceResult:
     """The three journal influence measures for one matrix.
@@ -124,34 +157,20 @@ def pagerank(graph: CitationGraph, params: PageRankParams | None = None) -> Scor
         raise DataError("pagerank needs a nonempty graph")
 
     src, dst, mult = graph.edge_arrays()
-    out = np.zeros(n, dtype=np.float64)
-    np.add.at(out, src, mult.astype(np.float64))
+    out = np.bincount(src, weights=mult, minlength=n)
     dangling = out == 0.0
     # Per-edge transition probability from its source node.
     weight = mult / out[src] if len(src) else np.zeros(0)
-
     d = params.damping
-    rank = np.full(n, 1.0 / n)
-    residual = math.inf
-    iterations = 0
-    converged = False
-    for iterations in range(1, params.max_iter + 1):
-        flow = np.zeros(n)
-        np.add.at(flow, dst, rank[src] * weight)
+
+    def step(rank: np.ndarray) -> tuple[np.ndarray, float]:
+        flow = np.bincount(dst, weights=rank[src] * weight, minlength=n)
         dangling_mass = float(rank[dangling].sum())
         new_rank = (1.0 - d) / n + d * (flow + dangling_mass / n)
-        residual = float(np.abs(new_rank - rank).sum())
-        rank = new_rank
-        if residual < params.tol:
-            converged = True
-            break
+        return new_rank, float(np.abs(new_rank - rank).sum())
 
-    return ScoreVector(
-        values=dict(zip(graph.nodes, rank.tolist())),
-        iterations=iterations,
-        residual=residual,
-        converged=converged,
-    )
+    solved = _power_iterate(step, np.full(n, 1.0 / n), params.tol, params.max_iter)
+    return _scores(graph.nodes, *solved)
 
 
 def hits(
@@ -172,47 +191,27 @@ def hits(
     src, dst, mult = graph.edge_arrays()
     fmult = mult.astype(np.float64)
 
-    hub = np.full(n, 1.0 / math.sqrt(n))
-    auth = np.zeros(n)
-    residual = math.inf
-    iterations = 0
-    converged = False
-    for iterations in range(1, max_iter + 1):
-        new_auth = np.zeros(n)
-        np.add.at(new_auth, dst, fmult * hub[src])
+    def step(state: tuple[np.ndarray, np.ndarray]) -> tuple[tuple[np.ndarray, np.ndarray], float]:
+        auth, hub = state
+        new_auth = np.bincount(dst, weights=fmult * hub[src], minlength=n)
         new_auth /= _l2(new_auth)
-        new_hub = np.zeros(n)
-        np.add.at(new_hub, src, fmult * new_auth[dst])
+        new_hub = np.bincount(src, weights=fmult * new_auth[dst], minlength=n)
         new_hub /= _l2(new_hub)
-        residual = max(_l2(new_auth - auth), _l2(new_hub - hub))
-        auth, hub = new_auth, new_hub
-        if residual < tol:
-            converged = True
-            break
+        return (new_auth, new_hub), max(_l2(new_auth - auth), _l2(new_hub - hub))
 
-    nodes = graph.nodes
-    authority = ScoreVector(
-        values=dict(zip(nodes, auth.tolist())),
-        iterations=iterations,
-        residual=residual,
-        converged=converged,
+    (auth, hub), *trace = _power_iterate(
+        step, (np.zeros(n), np.full(n, 1.0 / math.sqrt(n))), tol, max_iter
     )
-    hubs = ScoreVector(
-        values=dict(zip(nodes, hub.tolist())),
-        iterations=iterations,
-        residual=residual,
-        converged=converged,
-    )
-    return authority, hubs
+    return _scores(graph.nodes, auth, *trace), _scores(graph.nodes, hub, *trace)
 
 
-def _weighted_received(matrix: JournalCitationMatrix, w: np.ndarray) -> np.ndarray:
-    """Column sums of C weighted by the citing journal: (C^T w) with a
-    fixed accumulation order."""
+def _weighted_received(matrix: JournalCitationMatrix) -> Callable[[np.ndarray], np.ndarray]:
+    """The map w -> C^T w (column sums of C weighted by the citing
+    journal) with a fixed accumulation order; C is scanned once, not on
+    every call."""
     rows, cols = matrix.counts.nonzero()
-    received = np.zeros(matrix.n_journals)
-    np.add.at(received, cols, matrix.counts[rows, cols] * w[rows])
-    return received
+    counts = matrix.counts[rows, cols].astype(np.float64)
+    return lambda w: np.bincount(cols, weights=counts * w[rows], minlength=matrix.n_journals)
 
 
 def influence_weights(
@@ -259,33 +258,16 @@ def influence_weights(
             return w * (float(np.add.reduce(refs)) / _dot(refs, w))
         return w * (n / float(np.add.reduce(w)))
 
-    rows, cols = matrix.counts.nonzero()
-    vals = matrix.counts[rows, cols].astype(np.float64)
+    received = _weighted_received(matrix)
 
-    def step(w: np.ndarray) -> np.ndarray:
-        received = np.zeros(n)
-        np.add.at(received, cols, vals * w[rows])
-        return received / refs
-
-    w = normalize(np.ones(n))
-    residual = math.inf
-    iterations = 0
-    converged = False
-    for iterations in range(1, max_iter + 1):
-        fw = step(w)
+    def step(w: np.ndarray) -> tuple[np.ndarray, float]:
+        fw = received(w) / refs
         residual = float(np.abs(fw - w).max())
-        if residual < tol:
-            converged = True
-            break
-        w = normalize(0.5 * (w + fw))
+        # A converged iterate is returned as is, not averaged once more.
+        return (w if residual < tol else normalize(0.5 * (w + fw))), residual
 
-    w = normalize(w)
-    return ScoreVector(
-        values=dict(zip(matrix.journals, w.tolist())),
-        iterations=iterations,
-        residual=residual,
-        converged=converged,
-    )
+    w, *trace = _power_iterate(step, normalize(np.ones(n)), tol, max_iter)
+    return _scores(matrix.journals, normalize(w), *trace)
 
 
 def influence_per_publication(
@@ -300,7 +282,7 @@ def influence_per_publication(
     if set(weights.ids()) != set(matrix.journals):
         raise DataError("weights do not match the matrix's journal set")
     w = np.array([weights[j] for j in matrix.journals])
-    per_pub = _weighted_received(matrix, w) / matrix.pubs
+    per_pub = _weighted_received(matrix)(w) / matrix.pubs
     return ScoreVector(values=dict(zip(matrix.journals, per_pub.tolist())))
 
 

@@ -157,6 +157,23 @@ class TestExitCodes:
         assert "did not converge" in capsys.readouterr().err
         assert (tmp_path / "pagerank.csv").exists()  # partial result still written
 
+    @pytest.mark.parametrize("solver", ["pagerank", "hits", "influence"])
+    @pytest.mark.parametrize("flag", ["--tol=-1", "--tol=0", "--tol=nan", "--max-iter=0"])
+    def test_bad_stopping_rule_is_a_data_error(self, solver, flag, capsys):
+        assert main([*TestDeterminism.CASES[solver], flag]) == 2
+        message = "tol must be positive" if flag.startswith("--tol") else "max_iter must be >= 1"
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("solver", ["hits", "influence weights"])
+    def test_non_convergence_warning(self, solver, tmp_path, capsys):
+        matrix = tmp_path / "m.csv"
+        matrix.write_text("journal,A,B,pubs\nA,0,4,2\nB,1,0,3\n")
+        args = {"hits": TestDeterminism.CASES["hits"],
+                "influence weights": ["influence", "--matrix", str(matrix)]}[solver]
+        assert main([*args, "--max-iter", "1", "--tol", "1e-300"]) == 3
+        warning = capsys.readouterr().err.strip()
+        assert warning.startswith(f"warning: {solver} did not converge in 1 iterations (residual ")
+
     def test_data_error_zero_variance_correlation(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"
         path.write_text("x,y\n1,5\n2,5\n3,5\n")

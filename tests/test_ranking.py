@@ -365,6 +365,166 @@ class TestGraphToInfluencePipeline:
         assert result.total["Beta"] == pytest.approx(4 / 3, abs=1e-12)
 
 
+class TestStoppingRule:
+    """All three solvers share one check of ``tol`` and ``max_iter``."""
+
+    GRAPH = build_graph([("a", "b"), ("b", "c"), ("c", "a"), ("a", "c")])
+    MATRIX = matrix_from([[0, 5], [3, 0]], [2, 2])
+    SOLVERS = {
+        "pagerank": lambda tol, max_iter: pagerank(
+            TestStoppingRule.GRAPH, PageRankParams(tol=tol, max_iter=max_iter)
+        ),
+        "hits": lambda tol, max_iter: hits(TestStoppingRule.GRAPH, tol=tol, max_iter=max_iter),
+        "influence": lambda tol, max_iter: influence_weights(
+            TestStoppingRule.MATRIX, tol=tol, max_iter=max_iter
+        ),
+    }
+
+    @pytest.mark.parametrize("solver", sorted(SOLVERS))
+    @pytest.mark.parametrize("tol, max_iter", [
+        (-1.0, 100), (0.0, 100), (float("nan"), 100), (float("inf"), 100), (1e-10, 0),
+    ])
+    def test_bad_stopping_rule_rejected(self, solver, tol, max_iter):
+        with pytest.raises(DataError, match="tol must be positive|max_iter must be >= 1"):
+            self.SOLVERS[solver](tol, max_iter)
+
+
+def _l2(a):
+    return np.sqrt(float(np.add.reduce(a * a)))
+
+
+def loop_pagerank(graph, tol, max_iter, d=0.85):
+    n = graph.n_nodes
+    src, dst, mult = graph.edge_arrays()
+    out = np.zeros(n)
+    np.add.at(out, src, mult.astype(np.float64))
+    dangling = out == 0.0
+    weight = mult / out[src]
+    rank = np.full(n, 1.0 / n)
+    for iterations in range(1, max_iter + 1):
+        flow = np.zeros(n)
+        np.add.at(flow, dst, rank[src] * weight)
+        new_rank = (1.0 - d) / n + d * (flow + float(rank[dangling].sum()) / n)
+        residual = float(np.abs(new_rank - rank).sum())
+        rank = new_rank
+        if residual < tol:
+            break
+    return rank.tolist(), iterations, residual
+
+
+def loop_hits(graph, tol, max_iter):
+    n = graph.n_nodes
+    src, dst, mult = graph.edge_arrays()
+    fmult = mult.astype(np.float64)
+    hub, auth = np.full(n, 1.0 / np.sqrt(n)), np.zeros(n)
+    for iterations in range(1, max_iter + 1):
+        new_auth = np.zeros(n)
+        np.add.at(new_auth, dst, fmult * hub[src])
+        new_auth /= _l2(new_auth)
+        new_hub = np.zeros(n)
+        np.add.at(new_hub, src, fmult * new_auth[dst])
+        new_hub /= _l2(new_hub)
+        residual = max(_l2(new_auth - auth), _l2(new_hub - hub))
+        auth, hub = new_auth, new_hub
+        if residual < tol:
+            break
+    return auth.tolist(), hub.tolist(), iterations, residual
+
+
+def loop_influence(matrix, tol, max_iter):
+    refs = matrix.reference_totals().astype(np.float64)
+    rows, cols = matrix.counts.nonzero()
+    vals = matrix.counts[rows, cols].astype(np.float64)
+
+    def normalize(w):
+        return w * (float(np.add.reduce(refs)) / float(np.add.reduce(refs * w)))
+
+    w = normalize(np.ones(len(refs)))
+    for iterations in range(1, max_iter + 1):
+        fw = np.zeros(len(refs))
+        np.add.at(fw, cols, vals * w[rows])
+        fw /= refs
+        residual = float(np.abs(fw - w).max())
+        if residual < tol:
+            break
+        w = normalize(0.5 * (w + fw))
+    return normalize(w).tolist(), iterations, residual
+
+
+class TestLoopReference:
+    """Each solver against a plain loop with ``np.add.at`` scatters:
+    scores, iteration counts and residuals agree bit for bit, converged
+    or not."""
+
+    GRAPH = random_graph(31, 200, 2000)  # repeated pairs give parallel edges
+
+    @pytest.mark.parametrize("tol, max_iter", [(1e-12, 500), (1e-30, 7)])
+    def test_pagerank(self, tol, max_iter):
+        scores = pagerank(self.GRAPH, PageRankParams(tol=tol, max_iter=max_iter))
+        values, iterations, residual = loop_pagerank(self.GRAPH, tol, max_iter)
+        assert list(scores.values.values()) == values
+        assert (scores.iterations, scores.residual) == (iterations, residual)
+
+    @pytest.mark.parametrize("tol, max_iter", [(1e-12, 5000), (1e-30, 7)])
+    def test_hits(self, tol, max_iter):
+        authority, hub = hits(self.GRAPH, tol=tol, max_iter=max_iter)
+        auth, hubs, iterations, residual = loop_hits(self.GRAPH, tol, max_iter)
+        assert list(authority.values.values()) == auth
+        assert list(hub.values.values()) == hubs
+        assert (authority.iterations, authority.residual) == (iterations, residual)
+
+    @pytest.mark.parametrize("tol, max_iter", [(1e-13, 1000), (1e-30, 7)])
+    def test_influence(self, tol, max_iter):
+        rng = np.random.default_rng(8)
+        counts = rng.integers(0, 4, size=(30, 30))
+        counts[np.arange(30), (np.arange(30) + 1) % 30] += 1  # every journal cites
+        m = matrix_from(counts, rng.integers(1, 20, size=30))
+        w = influence_weights(m, tol=tol, max_iter=max_iter)
+        values, iterations, residual = loop_influence(m, tol, max_iter)
+        assert list(w.values.values()) == values
+        assert (w.iterations, w.residual) == (iterations, residual)
+
+
+class TestNetworkxOracle:
+    """Cross-check against networkx on a few thousand nodes with
+    parallel edges (multiplicity becomes the edge weight)."""
+
+    @pytest.fixture(scope="class")
+    def graphs(self):
+        nx = pytest.importorskip("networkx")
+        rng = np.random.default_rng(2024)
+        n, m = 3000, 20000
+        src = rng.integers(0, n, size=m)
+        # Heavy-tailed targets, so popular pairs repeat as parallel edges.
+        dst = (rng.pareto(1.2, size=m) * 50).astype(np.int64) % n
+        keep = src != dst
+        g = build_graph([(f"d{u:04d}", f"d{v:04d}") for u, v in zip(src[keep], dst[keep])])
+        assert max(mult for _, _, mult in g.edges) > 1
+        reference = nx.DiGraph()
+        reference.add_nodes_from(g.nodes)
+        reference.add_weighted_edges_from(g.edges, weight="weight")
+        return nx, g, reference
+
+    def test_pagerank_matches_networkx(self, graphs):
+        nx, g, reference = graphs
+        scores = pagerank(g, PageRankParams(tol=1e-15, max_iter=1000))
+        assert scores.converged
+        expected = nx.pagerank(reference, alpha=0.85, tol=1e-15, max_iter=1000, weight="weight")
+        assert max(abs(scores[node] - expected[node]) for node in g.nodes) < 1e-12
+
+    def test_hits_matches_networkx(self, graphs):
+        nx, g, reference = graphs
+        authority, hub = hits(g, tol=1e-14, max_iter=10000)
+        assert authority.converged
+        nx_hub, nx_authority = nx.hits(reference, max_iter=10000, tol=1e-14)
+        for ours, theirs in ((authority, nx_authority), (hub, nx_hub)):
+            # networkx scales to unit sum; citenet to unit L2 norm.
+            expected = np.array([theirs[node] for node in g.nodes])
+            expected /= np.linalg.norm(expected)
+            got = np.array([ours[node] for node in g.nodes])
+            assert np.max(np.abs(got - expected)) < 1e-12
+
+
 class TestScoreVector:
     def test_ranked_breaks_ties_by_id(self):
         scores = ScoreVector(values={"b": 1.0, "a": 1.0, "c": 2.0})
