@@ -18,7 +18,6 @@ from pathlib import Path
 from . import concentration, formats, metrics, ranking, reports, study
 from .errors import CitenetError, DataError
 from .graph import CitationGraph, DocType, TimeWindow, aggregate_to_journal_matrix
-from .metrics import normalize_author
 from .study import StudyTable
 
 EXIT_OK = 0
@@ -270,12 +269,7 @@ def _ranked_counts(graph: CitationGraph, by: str, year: int) -> concentration.Ra
 
 
 def _author_docs(graph: CitationGraph, author: str) -> list:
-    wanted = normalize_author(author)
-    docs = [
-        d
-        for d in graph.metadata.values()
-        if any(normalize_author(a) == wanted for a in d.authors)
-    ]
+    docs = graph.docs_by_author(author)
     if not docs:
         raise DataError(f"no documents authored by {author!r}")
     return sorted(docs, key=lambda d: (-d.cites, d.id))
@@ -299,8 +293,8 @@ def _emit(
 
 
 def _cmd_pagerank(args) -> tuple[list[tuple[str, StudyTable]], int]:
-    graph = _load_graph(args)
     params = ranking.PageRankParams(damping=args.damping, tol=args.tol, max_iter=args.max_iter)
+    graph = _load_graph(args)
     scores = ranking.pagerank(graph, params)
     table = _score_table(
         f"PageRank (damping {args.damping:g})", scores, "Score", args.top
@@ -309,6 +303,7 @@ def _cmd_pagerank(args) -> tuple[list[tuple[str, StudyTable]], int]:
 
 
 def _cmd_hits(args) -> tuple[list[tuple[str, StudyTable]], int]:
+    ranking.check_stopping(args.tol, args.max_iter)
     graph = _load_graph(args)
     authority, hub = ranking.hits(graph, tol=args.tol, max_iter=args.max_iter)
     tables = [
@@ -319,6 +314,7 @@ def _cmd_hits(args) -> tuple[list[tuple[str, StudyTable]], int]:
 
 
 def _cmd_influence(args) -> tuple[list[tuple[str, StudyTable]], int]:
+    ranking.check_stopping(args.tol, args.max_iter)
     if args.matrix is not None:
         matrix = formats.read_journal_matrix(args.matrix)
     else:
@@ -387,17 +383,17 @@ def _cmd_influence(args) -> tuple[list[tuple[str, StudyTable]], int]:
 def _cmd_total_cites(args) -> tuple[list[tuple[str, StudyTable]], int]:
     if args.matrix is not None:
         matrix = formats.read_journal_matrix(args.matrix)
-        journals = [args.journal] if args.journal else list(matrix.journals)
-        counts = {j: metrics.total_cites(matrix, j) for j in journals}
+        counts = dict(zip(matrix.journals, matrix.citation_totals().tolist()))
         subtitle = "journal matrix window"
     else:
         if args.cite_year is None:
             raise _UsageError("citenet total-cites: --cite-year is required with a graph source")
-        graph = _load_graph(args)
-        window = TimeWindow(args.cite_year, (args.cite_year, args.cite_year))
-        journals = [args.journal] if args.journal else list(graph.journals())
-        counts = {j: metrics.total_cites(graph, j, window) for j in journals}
+        counts = metrics.journal_cite_counts(_load_graph(args), args.cite_year)
         subtitle = f"references made in {args.cite_year}"
+    if args.journal:
+        if args.journal not in counts:
+            raise DataError(f"unknown journal {args.journal!r}")
+        counts = {args.journal: counts[args.journal]}
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     table = StudyTable(
         title=f"Total cites ({subtitle})",
@@ -413,23 +409,16 @@ def _cmd_impact_factor(args) -> tuple[list[tuple[str, StudyTable]], int]:
     doc_types = None
     if args.doc_types:
         doc_types = [DocType(t.strip()) for t in args.doc_types.split(",") if t.strip()]
-    journals = [args.journal] if args.journal else list(graph.journals())
-    values: dict[str, float] = {}
-    excluded: list[str] = []
-    for journal in journals:
-        try:
-            values[journal] = metrics.impact_factor_from_graph(
-                graph, journal, args.cite_year, doc_types=doc_types
-            )
-        except metrics.UndefinedMetricError:
-            if args.journal:
-                raise
-            excluded.append(journal)
+    if args.journal:
+        value = metrics.impact_factor_from_graph(graph, args.journal, args.cite_year, doc_types)
+        values, excluded = {args.journal: value}, ()
+    else:
+        values, excluded = metrics.impact_factors(graph, args.cite_year, doc_types)
     ranked = sorted(values.items(), key=lambda kv: (-kv[1], kv[0]))
     footnotes = ()
     if excluded:
         footnotes = (
-            "excluded (no items in the two-year window): " + ", ".join(sorted(excluded)),
+            "excluded (no items in the two-year window): " + ", ".join(excluded),
         )
     table = StudyTable(
         title=f"Two-year impact factor for {args.cite_year}",

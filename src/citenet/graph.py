@@ -33,6 +33,11 @@ class DocType(Enum):
     OTHER = "other"
 
 
+def normalize_author(name: str) -> str:
+    """Whitespace- and case-normalized form used for exact name matching."""
+    return " ".join(name.split()).casefold()
+
+
 @dataclass(frozen=True)
 class DocumentRecord:
     """Per-document metadata.
@@ -172,7 +177,68 @@ class CitationGraph:
 
     def journals(self) -> tuple[str, ...]:
         """Distinct venues appearing in document metadata, sorted."""
+        return self._journals
+
+    @cached_property
+    def _journals(self) -> tuple[str, ...]:
         return tuple(sorted({d.venue for d in self.metadata.values() if d.venue}))
+
+    @cached_property
+    def _journal_codes(self) -> dict[str, int]:
+        return {journal: code for code, journal in enumerate(self._journals)}
+
+    def journal_index(self, journal: str) -> int:
+        """Position of ``journal`` in ``journals()``; its code in ``node_columns()``."""
+        try:
+            return self._journal_codes[journal]
+        except KeyError:
+            raise DataError(f"unknown journal {journal!r}") from None
+
+    def node_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-node (journal code, year, doc-type code) arrays in ``nodes`` order.
+
+        The journal code indexes ``journals()`` and is -1 for a node with
+        no record or no venue; the year is 0 for a node with no record
+        (a real year is always >= 1); the doc-type code indexes
+        ``list(DocType)`` and is -1 for a node with no record. Every
+        journal metric is a masked count over these columns and
+        ``edge_arrays()``.
+        """
+        return self._node_columns
+
+    @cached_property
+    def _node_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        n = len(self.nodes)
+        journal = np.full(n, -1, dtype=np.int64)
+        year = np.zeros(n, dtype=np.int64)
+        doc_type = np.full(n, -1, dtype=np.int64)
+        idx = self._node_index
+        codes = self._journal_codes
+        type_codes = {t: code for code, t in enumerate(DocType)}
+        for doc_id, doc in self.metadata.items():
+            i = idx.get(doc_id)
+            if i is None:
+                raise DataError(f"document {doc_id!r} has a record but is not a graph node")
+            journal[i] = codes.get(doc.venue, -1)
+            year[i] = doc.year
+            doc_type[i] = type_codes[doc.doc_type]
+        return journal, year, doc_type
+
+    def docs_by_author(self, author: str) -> tuple[DocumentRecord, ...]:
+        """Documents whose byline names ``author``, in metadata order.
+
+        Names match exactly after :func:`normalize_author`; a document
+        naming the author twice is listed once.
+        """
+        return self._author_index.get(normalize_author(author), ())
+
+    @cached_property
+    def _author_index(self) -> dict[str, tuple[DocumentRecord, ...]]:
+        index: dict[str, list[DocumentRecord]] = {}
+        for doc in self.metadata.values():
+            for name in dict.fromkeys(normalize_author(a) for a in doc.authors):
+                index.setdefault(name, []).append(doc)
+        return {name: tuple(docs) for name, docs in index.items()}
 
 
 def build_graph(
@@ -330,22 +396,25 @@ def aggregate_to_journal_matrix(
     dropped = tuple(sorted(universe - set(journals)))
     index = {j: i for i, j in enumerate(journals)}
 
-    counts = np.zeros((len(journals), len(journals)), dtype=np.int64)
-    for citing, cited, mult in graph.edges:
-        citing_doc = meta.get(citing)
-        if citing_doc is None or citing_doc.year != window.cite_year:
-            continue  # undated or out-of-window citing side
-        cited_doc = meta.get(cited)
-        if cited_doc is None:
-            raise DataError(
-                f"document {cited!r} is cited from inside the window but has no metadata"
-            )
-        if not window.covers_source(cited_doc.year):
-            continue
-        i = index.get(citing_doc.venue)
-        j = index.get(cited_doc.venue)
-        if i is not None and j is not None:
-            counts[i, j] += mult
+    src, dst, mult = graph.edge_arrays()
+    journal, year, _ = graph.node_columns()
+    # Nodes without a record carry year 0; a cite year below 1 matches no citing document.
+    live = (year[src] == window.cite_year) & (window.cite_year > 0)
+    missing = np.flatnonzero(live & (year[dst] == 0))
+    if missing.size:
+        cited = graph.nodes[dst[missing[0]]]
+        raise DataError(f"document {cited!r} is cited from inside the window but has no metadata")
+    first, last = window.source_years
+    live &= (year[dst] >= first) & (year[dst] <= last)
+    # Graph journal code -> matrix row, -1 for a journal the matrix drops.
+    # Both ends of a live edge have a venue: the loop above checked it.
+    row = np.array([index.get(j, -1) for j in graph.journals()], dtype=np.int64)
+    i, j = row[journal[src[live]]], row[journal[dst[live]]]
+    kept = (i >= 0) & (j >= 0)
+    n = len(journals)
+    counts = np.bincount(
+        i[kept] * n + j[kept], weights=mult[live][kept], minlength=n * n
+    ).astype(np.int64).reshape(n, n)
 
     if zero_diagonal:
         np.fill_diagonal(counts, 0)

@@ -7,8 +7,11 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import DataError, UndefinedMetricError
 from .graph import CitationGraph, DocType, JournalCitationMatrix, TimeWindow
+from .graph import normalize_author as normalize_author  # re-exported
 
 
 @dataclass(frozen=True)
@@ -69,18 +72,8 @@ def total_cites(
 
     if window is None:
         raise DataError("total_cites from a graph needs a window (its cite_year is used)")
-    meta = source.metadata
-    if journal not in source.journals():
-        raise DataError(f"unknown journal {journal!r}")
-    total = 0
-    for citing, cited, mult in source.edges:
-        citing_doc = meta.get(citing)
-        if citing_doc is None or citing_doc.year != window.cite_year:
-            continue
-        cited_doc = meta.get(cited)
-        if cited_doc is not None and cited_doc.venue == journal:
-            total += mult
-    return total
+    code = source.journal_index(journal)
+    return int(_cite_counts(source, window.cite_year)[code])
 
 
 def impact_factor(inp: ImpactFactorInput) -> float:
@@ -104,33 +97,52 @@ def impact_factor_from_graph(
     nothing in the window, e.g. a journal whose cited material is all
     old superclassics; callers exclude it rather than report 0.
     """
-    if journal not in graph.journals():
-        raise DataError(f"unknown journal {journal!r}")
-    window = TimeWindow.two_year(cite_year)
-    allowed = set(doc_types) if doc_types is not None else None
-    meta = graph.metadata
-
-    items = {
-        doc.id
-        for doc in meta.values()
-        if doc.venue == journal
-        and window.covers_source(doc.year)
-        and (allowed is None or doc.doc_type in allowed)
-    }
-    if not items:
+    code = graph.journal_index(journal)
+    cites, items = _impact_counts(graph, cite_year, doc_types)
+    if not items[code]:
+        first, last = TimeWindow.two_year(cite_year).source_years
         raise UndefinedMetricError(
-            f"journal {journal!r} published no countable items in "
-            f"{window.source_years[0]}-{window.source_years[1]}"
+            f"journal {journal!r} published no countable items in {first}-{last}"
         )
+    return impact_factor(ImpactFactorInput(int(cites[code]), int(items[code])))
 
-    cites = 0
-    for citing, cited, mult in graph.edges:
-        if cited not in items:
-            continue
-        citing_doc = meta.get(citing)
-        if citing_doc is not None and citing_doc.year == cite_year:
-            cites += mult
-    return impact_factor(ImpactFactorInput(cites, len(items)))
+
+def impact_factors(
+    graph: CitationGraph,
+    cite_year: int,
+    doc_types: Iterable[DocType] | None = None,
+) -> tuple[dict[str, float], tuple[str, ...]]:
+    """Two-year impact factors of every journal, in one pass over the edges.
+
+    Returns ``(values, excluded)``: the impact factor of each journal
+    with countable items in the window, in ``graph.journals()`` order,
+    and the journals without any, for which it is undefined. Items and
+    citations are as in :func:`impact_factor_from_graph`.
+    """
+    cites, items = _impact_counts(graph, cite_year, doc_types)
+    values: dict[str, float] = {}
+    excluded: list[str] = []
+    for name, n_cites, n_items in zip(graph.journals(), cites.tolist(), items.tolist()):
+        if n_items:
+            values[name] = impact_factor(ImpactFactorInput(n_cites, n_items))
+        else:
+            excluded.append(name)
+    return values, tuple(excluded)
+
+
+def _impact_counts(
+    graph: CitationGraph, cite_year: int, doc_types: Iterable[DocType] | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-journal numerator and denominator of the two-year impact factor."""
+    src, dst, mult = graph.edge_arrays()
+    journal, year, doc_type = graph.node_columns()
+    first, last = TimeWindow.two_year(cite_year).source_years
+    item = (year >= first) & (year <= last)
+    if doc_types is not None:
+        allowed = set(doc_types)
+        item &= np.isin(doc_type, [code for code, t in enumerate(DocType) if t in allowed])
+    cited = item[dst] & _dated(year, cite_year)[src]
+    return _per_journal(graph, journal[dst], cited, mult), _per_journal(graph, journal, item)
 
 
 def h_index(profile: CitationProfile | Sequence[int]) -> int:
@@ -160,44 +172,59 @@ def profile_summary(profile: CitationProfile | Sequence[int]) -> ProfileSummary:
     return ProfileSummary(h, core[0], core[0] - core[-1], sum(core))
 
 
+def _dated(year: np.ndarray, wanted: int) -> np.ndarray:
+    """Node mask: documents with a record published in ``wanted``.
+
+    Nodes without a record carry year 0, which no real year matches.
+    """
+    return (year == wanted) & (wanted > 0)
+
+
+def _per_journal(
+    graph: CitationGraph,
+    codes: np.ndarray,
+    keep: np.ndarray,
+    weights: np.ndarray | None = None,
+) -> np.ndarray:
+    """Group-by-journal sum: ``weights`` (1 each by default) of the
+    entries selected by ``keep``, summed per journal code. Entries
+    without a journal (code -1) are dropped. One int64 slot per journal
+    in ``graph.journals()`` order."""
+    keep = keep & (codes >= 0)
+    return np.bincount(
+        codes[keep],
+        weights=None if weights is None else weights[keep],
+        minlength=len(graph.journals()),
+    ).astype(np.int64)
+
+
+def _cite_counts(graph: CitationGraph, cite_year: int) -> np.ndarray:
+    src, dst, mult = graph.edge_arrays()
+    journal, year, _ = graph.node_columns()
+    return _per_journal(graph, journal[dst], _dated(year, cite_year)[src], mult)
+
+
+def _as_dict(graph: CitationGraph, counts: np.ndarray) -> dict[str, int]:
+    return dict(zip(graph.journals(), counts.tolist()))
+
+
 def journal_cite_counts(graph: CitationGraph, cite_year: int) -> dict[str, int]:
     """Citations received per journal from references made in ``cite_year``
     (no cap on cited-item age). Journals receiving none report 0."""
-    meta = graph.metadata
-    counts = dict.fromkeys(graph.journals(), 0)
-    for citing, cited, mult in graph.edges:
-        citing_doc = meta.get(citing)
-        if citing_doc is None or citing_doc.year != cite_year:
-            continue
-        cited_doc = meta.get(cited)
-        if cited_doc is not None and cited_doc.venue:
-            counts[cited_doc.venue] += mult
-    return counts
+    return _as_dict(graph, _cite_counts(graph, cite_year))
 
 
 def journal_article_counts(graph: CitationGraph, year: int) -> dict[str, int]:
     """Documents published per journal in ``year``."""
-    counts = dict.fromkeys(graph.journals(), 0)
-    for doc in graph.metadata.values():
-        if doc.venue and doc.year == year:
-            counts[doc.venue] += 1
-    return counts
+    journal, years, _ = graph.node_columns()
+    return _as_dict(graph, _per_journal(graph, journal, _dated(years, year)))
 
 
 def journal_reference_counts(graph: CitationGraph, year: int) -> dict[str, int]:
     """References given per journal by documents published in ``year``."""
-    meta = graph.metadata
-    counts = dict.fromkeys(graph.journals(), 0)
-    for citing, _, mult in graph.edges:
-        citing_doc = meta.get(citing)
-        if citing_doc is not None and citing_doc.venue and citing_doc.year == year:
-            counts[citing_doc.venue] += mult
-    return counts
-
-
-def normalize_author(name: str) -> str:
-    """Whitespace- and case-normalized form used for exact name matching."""
-    return " ".join(name.split()).casefold()
+    src, _, mult = graph.edge_arrays()
+    journal, years, _ = graph.node_columns()
+    return _as_dict(graph, _per_journal(graph, journal[src], _dated(years, year)[src], mult))
 
 
 def profile_from_graph(graph: CitationGraph, author: str) -> CitationProfile:
@@ -207,12 +234,7 @@ def profile_from_graph(graph: CitationGraph, author: str) -> CitationProfile:
     publication's count is its in-degree in the graph. Name matching is
     exact after whitespace/case normalization.
     """
-    wanted = normalize_author(author)
-    counts = [
-        graph.in_degree(doc.id)
-        for doc in graph.metadata.values()
-        if any(normalize_author(a) == wanted for a in doc.authors)
-    ]
+    counts = [graph.in_degree(doc.id) for doc in graph.docs_by_author(author)]
     if not counts:
         raise DataError(f"no documents authored by {author!r}")
     return CitationProfile(tuple(counts))

@@ -36,7 +36,7 @@ def _l2(a: np.ndarray) -> float:
     return math.sqrt(_dot(a, a))
 
 
-def _check_stopping(tol: float, max_iter: int) -> None:
+def check_stopping(tol: float, max_iter: int) -> None:
     """Reject stopping rules under which no solver can stop properly."""
     if not (math.isfinite(tol) and tol > 0.0):
         raise DataError(f"tol must be positive and finite, got {tol}")
@@ -55,7 +55,7 @@ def _power_iterate(
     ``step(x)`` returns the next iterate and the residual of the move.
     Returns (last iterate, iterations run, last residual, converged).
     """
-    _check_stopping(tol, max_iter)
+    check_stopping(tol, max_iter)
     x = x0
     for iterations in range(1, max_iter + 1):
         x, residual = step(x)
@@ -81,7 +81,7 @@ class PageRankParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.damping < 1.0:
             raise DataError(f"damping must be in (0, 1), got {self.damping}")
-        _check_stopping(self.tol, self.max_iter)
+        check_stopping(self.tol, self.max_iter)
 
 
 @dataclass(frozen=True)

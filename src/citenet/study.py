@@ -21,8 +21,7 @@ from statistics import median as _median
 import numpy as np
 
 from .errors import DataError, UndefinedMetricError
-from .graph import DocType, DocumentRecord
-from .metrics import normalize_author
+from .graph import DocType, DocumentRecord, normalize_author
 
 Cell = str | int | float | None
 

@@ -164,6 +164,29 @@ class TestExitCodes:
         message = "tol must be positive" if flag.startswith("--tol") else "max_iter must be >= 1"
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("solver", [["pagerank"], ["hits"], ["influence", "--cite-year", "2011"]])
+    def test_bad_stopping_rule_rejected_before_loading(self, solver, tmp_path, capsys):
+        missing = ["--edges", str(tmp_path / "missing.csv"), "--docs", str(tmp_path / "gone.csv")]
+        assert main([*solver, *missing, "--tol=-1"]) == 2
+        err = capsys.readouterr().err
+        assert "tol must be positive" in err and "No such file" not in err
+
+    @pytest.mark.parametrize("command", [["total-cites"], ["impact-factor"]])
+    def test_unknown_journal_is_named(self, command, capsys):
+        code = main([*command, "--edges", str(DATA / "mini" / "edges.csv"),
+                     "--docs", str(DATA / "mini" / "docs.csv"),
+                     "--cite-year", "2005", "--journal", "nope"])
+        assert code == 2
+        assert "unknown journal 'nope'" in capsys.readouterr().err
+
+    def test_impact_factor_of_journal_without_window_items(self, capsys):
+        code = main(["impact-factor", "--edges", str(DATA / "mini" / "edges.csv"),
+                     "--docs", str(DATA / "mini" / "docs.csv"),
+                     "--cite-year", "2005", "--journal", "Gamma"])
+        assert code == 2
+        assert ("journal 'Gamma' published no countable items in 2003-2004"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("solver", ["hits", "influence weights"])
     def test_non_convergence_warning(self, solver, tmp_path, capsys):
         matrix = tmp_path / "m.csv"
@@ -222,6 +245,13 @@ class TestCliBehaviors:
               "--docs", str(DATA / "mini" / "docs.csv"), "--cite-year", "2005"])
         out = capsys.readouterr().out
         assert "excluded" in out and "Gamma" in out
+
+    def test_impact_factor_footnote_names_excluded_journals(self, capsys):
+        assert main(["impact-factor", "--edges", str(DATA / "mini" / "edges.csv"),
+                     "--docs", str(DATA / "mini" / "docs.csv"), "--cite-year", "2005"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "note: excluded (no items in the two-year window): Gamma"
+        assert [line.split()[1] for line in lines if line[:1].isdigit()] == ["Alpha", "Beta"]
 
     def test_total_cites_includes_superclassic_journal(self, capsys):
         main(["total-cites", "--edges", str(DATA / "mini" / "edges.csv"),

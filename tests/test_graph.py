@@ -267,3 +267,23 @@ class TestTimeWindow:
         assert w.source_years == (1967, 1968)
         assert w.covers_source(1968)
         assert not w.covers_source(1969)
+
+
+class TestAuthorIndex:
+    def test_matches_per_document_name_scan(self):
+        from citenet.graph import normalize_author
+
+        rng = random.Random(5)
+        names = ["Jane Q. Smith", "jane  q. SMITH", " A. Other", "B. Reader", "b. reader "]
+        docs = [
+            DocumentRecord(f"p{i:02d}", "J", 2000 + i % 5,
+                           authors=tuple(rng.choice(names) for _ in range(rng.randint(0, 4))))
+            for i in range(60)
+        ]
+        g = build_graph([], docs=docs)
+        for name in (*names, "Nobody", "jane q smith"):
+            wanted = normalize_author(name)
+            expected = tuple(d for d in g.metadata.values()
+                             if any(normalize_author(a) == wanted for a in d.authors))
+            assert g.docs_by_author(name) == expected
+        assert g.docs_by_author("Nobody") == ()
