@@ -10,9 +10,8 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 non-convergence.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from pathlib import Path
 
 from . import concentration, formats, metrics, ranking, reports, study
@@ -213,12 +212,18 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
-def _load_graph(args: argparse.Namespace) -> CitationGraph:
-    if args.edges is None and args.docs is None:
-        raise _UsageError("citenet: --edges and/or --docs is required")
-    bundle = formats.load_corpus(edges=args.edges, docs=args.docs, strict=args.strict)
-    for note in bundle.warnings:
+def _warn(notes: Iterable[str]) -> None:
+    for note in notes:
         print(f"warning: {note}", file=sys.stderr)
+
+
+def _load_graph(args: argparse.Namespace) -> CitationGraph:
+    # The study commands take --docs only.
+    edges = getattr(args, "edges", None)
+    if edges is None and args.docs is None:
+        raise _UsageError("citenet: --edges and/or --docs is required")
+    bundle = formats.load_corpus(edges=edges, docs=args.docs, strict=args.strict)
+    _warn(bundle.warnings)
     assert bundle.graph is not None
     return bundle.graph
 
@@ -250,11 +255,10 @@ def _exit_code(solver: str, result: ranking.ScoreVector | ranking.InfluenceResul
     """Exit 0 for a converged solve; otherwise warn and exit 3."""
     if result.converged:
         return EXIT_OK
-    print(
-        f"warning: {solver} did not converge in {result.iterations} iterations "
-        f"(residual {result.residual:g})",
-        file=sys.stderr,
-    )
+    _warn([
+        f"{solver} did not converge in {result.iterations} iterations "
+        f"(residual {result.residual:g})"
+    ])
     return EXIT_NO_CONVERGENCE
 
 
@@ -335,11 +339,7 @@ def _cmd_influence(args) -> tuple[list[tuple[str, StudyTable]], int]:
             window = TimeWindow.two_year(args.cite_year)
         matrix = aggregate_to_journal_matrix(graph, window)
         if matrix.dropped:
-            print(
-                "warning: dropped journals without window publications: "
-                + ", ".join(matrix.dropped),
-                file=sys.stderr,
-            )
+            _warn(["dropped journals without window publications: " + ", ".join(matrix.dropped)])
     if args.zero_diagonal:
         matrix = matrix.without_self_citations()
     if args.prune_nonreferencing:
@@ -356,10 +356,7 @@ def _cmd_influence(args) -> tuple[list[tuple[str, StudyTable]], int]:
                 [j for j in matrix.journals if j not in set(silent)]
             )
         if pruned:
-            print(
-                f"warning: pruned journals giving no references: {', '.join(pruned)}",
-                file=sys.stderr,
-            )
+            _warn([f"pruned journals giving no references: {', '.join(pruned)}"])
         if matrix.n_journals == 0:
             raise DataError("no journals left after pruning non-referencing ones")
     result = ranking.influence_metrics(
@@ -432,8 +429,7 @@ def _cmd_impact_factor(args) -> tuple[list[tuple[str, StudyTable]], int]:
 
 def _cmd_h_index(args) -> tuple[list[tuple[str, StudyTable]], int]:
     profile, warnings = formats.read_profile(args.profile, args.strict)
-    for note in warnings:
-        print(f"warning: {note}", file=sys.stderr)
+    _warn(warnings)
     summary = metrics.profile_summary(profile)
     table = StudyTable(
         title="Citation profile summary",
@@ -510,10 +506,7 @@ def _cmd_stability(args) -> tuple[list[tuple[str, StudyTable]], int]:
 
 
 def _cmd_study_sample(args) -> tuple[list[tuple[str, StudyTable]], int]:
-    bundle = formats.load_corpus(docs=args.docs, strict=args.strict)
-    for note in bundle.warnings:
-        print(f"warning: {note}", file=sys.stderr)
-    docs = _author_docs(bundle.graph, args.author)
+    docs = _author_docs(_load_graph(args), args.author)
     sample = study.stratified_every_kth(docs, args.every, seed=args.seed)
     positions = {d.id: i for i, d in enumerate(docs, 1)}
     table = StudyTable(
@@ -526,10 +519,7 @@ def _cmd_study_sample(args) -> tuple[list[tuple[str, StudyTable]], int]:
 
 
 def _study_samples(args) -> dict[str, list]:
-    bundle = formats.load_corpus(docs=args.docs, strict=args.strict)
-    for note in bundle.warnings:
-        print(f"warning: {note}", file=sys.stderr)
-    graph = bundle.graph
+    graph = _load_graph(args)
     return {
         author: study.stratified_every_kth(_author_docs(graph, author), args.every)
         for author in args.author
@@ -539,8 +529,7 @@ def _study_samples(args) -> dict[str, list]:
 def _resolved_samples(args) -> dict[str, list]:
     samples = _study_samples(args)
     records, warnings = formats.read_rank_records(args.ranks, args.strict)
-    for note in warnings:
-        print(f"warning: {note}", file=sys.stderr)
+    _warn(warnings)
     return {
         author: study.resolve_rank_records(sample, records)
         for author, sample in samples.items()
@@ -558,18 +547,12 @@ def _cmd_study_tc_vs_if(args) -> tuple[list[tuple[str, StudyTable]], int]:
 
 
 def _cmd_study_authorship(args) -> tuple[list[tuple[str, StudyTable]], int]:
-    bundle = formats.load_corpus(docs=args.docs, strict=args.strict)
-    for note in bundle.warnings:
-        print(f"warning: {note}", file=sys.stderr)
-    graph = bundle.graph
     if args.reviews_only:
+        graph = _load_graph(args)
         docs_by_subject = {author: _author_docs(graph, author) for author in args.author}
         name = "study-authorship-reviews"
     else:
-        docs_by_subject = {
-            author: study.stratified_every_kth(_author_docs(graph, author), args.every)
-            for author in args.author
-        }
+        docs_by_subject = _study_samples(args)
         name = "study-authorship"
     table = study.authorship_table(
         docs_by_subject,
@@ -580,8 +563,7 @@ def _cmd_study_authorship(args) -> tuple[list[tuple[str, StudyTable]], int]:
 
 
 def _cmd_correlate(args) -> tuple[list[tuple[str, StudyTable]], int]:
-    with open(args.data, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+    rows = formats.read_csv_rows(args.data)
     if not rows or len(rows[0]) < 2:
         raise DataError(f"{args.data}: need a header row with at least two columns")
     header = rows[0]

@@ -16,6 +16,7 @@ are skipped and enumerated in the load report with line numbers.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -41,6 +42,19 @@ class CorpusBundle:
     warnings: list[str] = field(default_factory=list)
 
 
+def read_csv_rows(path: Path) -> list[list[str]]:
+    """All rows of a UTF-8 CSV file; a byte that is not UTF-8 is a
+    :class:`DataError` naming the file and line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path}:{lineno}: not valid UTF-8") from None
+    return list(csv.reader(io.StringIO(text, newline="")))
+
+
 class _RowReader:
     """CSV row iterator that validates the header and tracks line numbers."""
 
@@ -48,8 +62,7 @@ class _RowReader:
         self.path = path
         self.strict = strict
         self.warnings: list[str] = []
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
+        rows = read_csv_rows(path)
         if not rows or rows[0] != expected_header:
             raise DataError(
                 f"{path}: expected header {','.join(expected_header)!r}, "
@@ -165,8 +178,7 @@ def read_profile(path: Path, strict: bool = False) -> tuple[CitationProfile, lis
 
 def read_journal_matrix(path: Path) -> JournalCitationMatrix:
     """Read a square journal-to-journal count matrix (always strict)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+    rows = read_csv_rows(path)
     if not rows or len(rows[0]) < 3 or rows[0][0] != "journal" or rows[0][-1] != "pubs":
         raise DataError(f"{path}: header must be journal,<journal...>,pubs")
     journals = tuple(rows[0][1:-1])
@@ -227,34 +239,30 @@ def load_corpus(
         doc_rows, warnings = read_docs(docs, strict)
         bundle.warnings.extend(warnings)
     if edges is not None or docs is not None:
-        if edges is not None and docs is not None:
-            known = {d.id for d in doc_rows}
-            for lineno, citing, cited in edge_rows:
+        # One pass applies the edge-row policy. Dangling notes come before
+        # self-loop notes, and in strict mode the first dangling row wins
+        # over an earlier self-loop.
+        known = {d.id for d in doc_rows} if docs is not None else None
+        loops: list[str] = []
+        pairs: list[tuple[str, str]] = []
+        for lineno, citing, cited in edge_rows:
+            if known is not None and (citing not in known or cited not in known):
                 dangling = [x for x in (citing, cited) if x not in known]
-                if dangling:
-                    note = (
-                        f"{edges}:{lineno}: edge ({citing},{cited}) references "
-                        f"unknown document id(s) {', '.join(dangling)}"
-                    )
-                    if strict:
-                        raise DataError(note)
-                    bundle.warnings.append(note)
-        if not allow_self_loops:
-            kept = []
-            for lineno, citing, cited in edge_rows:
-                if citing == cited:
-                    note = f"{edges}:{lineno}: self-loop on {citing!r} skipped"
-                    if strict:
-                        raise DataError(note)
-                    bundle.warnings.append(note)
-                    continue
-                kept.append((lineno, citing, cited))
-            edge_rows = kept
-        bundle.graph = build_graph(
-            [(citing, cited) for _, citing, cited in edge_rows],
-            doc_rows,
-            allow_self_loops=allow_self_loops,
-        )
+                note = (
+                    f"{edges}:{lineno}: edge ({citing},{cited}) references "
+                    f"unknown document id(s) {', '.join(dangling)}"
+                )
+                if strict:
+                    raise DataError(note)
+                bundle.warnings.append(note)
+            if citing == cited and not allow_self_loops:
+                loops.append(f"{edges}:{lineno}: self-loop on {citing!r} skipped")
+                continue
+            pairs.append((citing, cited))
+        if strict and loops:
+            raise DataError(loops[0])
+        bundle.warnings.extend(loops)
+        bundle.graph = build_graph(pairs, doc_rows, allow_self_loops=allow_self_loops)
 
     if matrix is not None:
         bundle.matrix = read_journal_matrix(matrix)

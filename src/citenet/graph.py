@@ -111,20 +111,6 @@ class CitationGraph:
     def _node_index(self) -> dict[str, int]:
         return {node: i for i, node in enumerate(self.nodes)}
 
-    @cached_property
-    def _in_degree(self) -> dict[str, int]:
-        deg = dict.fromkeys(self.nodes, 0)
-        for _, cited, mult in self.edges:
-            deg[cited] += mult
-        return deg
-
-    @cached_property
-    def _out_degree(self) -> dict[str, int]:
-        deg = dict.fromkeys(self.nodes, 0)
-        for citing, _, mult in self.edges:
-            deg[citing] += mult
-        return deg
-
     @property
     def n_nodes(self) -> int:
         return len(self.nodes)
@@ -139,24 +125,26 @@ class CitationGraph:
 
     def in_degree(self, node: str) -> int:
         """Number of citations received by ``node`` (inlinks, with multiplicity)."""
-        try:
-            return self._in_degree[node]
-        except KeyError:
-            raise DataError(f"unknown node {node!r}") from None
+        return int(self._degrees[0][self._position(node)])
 
     def out_degree(self, node: str) -> int:
         """Number of references given by ``node`` (outlinks, with multiplicity)."""
+        return int(self._degrees[1][self._position(node)])
+
+    def _position(self, node: str) -> int:
         try:
-            return self._out_degree[node]
+            return self._node_index[node]
         except KeyError:
             raise DataError(f"unknown node {node!r}") from None
 
-    def edge_multiplicity(self, citing: str, cited: str) -> int:
-        return self._edge_lookup.get((citing, cited), 0)
-
     @cached_property
-    def _edge_lookup(self) -> dict[tuple[str, str], int]:
-        return {(u, v): m for u, v, m in self.edges}
+    def _degrees(self) -> tuple[np.ndarray, np.ndarray]:
+        src, dst, mult = self.edge_arrays()
+        n = len(self.nodes)
+        return (
+            np.bincount(dst, weights=mult, minlength=n).astype(np.int64),
+            np.bincount(src, weights=mult, minlength=n).astype(np.int64),
+        )
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Edges as (source index, target index, multiplicity) arrays.
@@ -252,27 +240,35 @@ def build_graph(
     unless ``allow_self_loops`` is set. Nodes are the union of edge
     endpoints and document ids; an empty edge list is accepted.
     """
-    counts: Counter[tuple[str, str]] = Counter()
+    codes: dict[str, int] = {}
+    coded: list[int] = []  # citing, cited, citing, ... in first-seen id codes
     for citing, cited in edge_list:
         if not citing or not cited:
             raise DataError(f"edge ({citing!r}, {cited!r}) has an empty endpoint")
         if citing == cited and not allow_self_loops:
             raise DataError(f"self-loop on {citing!r} (pass allow_self_loops=True to keep)")
-        counts[(citing, cited)] += 1
+        coded += (codes.setdefault(citing, len(codes)), codes.setdefault(cited, len(codes)))
 
     metadata: dict[str, DocumentRecord] = {}
     for doc in docs or ():
         if doc.id in metadata:
             raise DataError(f"duplicate document id {doc.id!r}")
         metadata[doc.id] = doc
+        codes.setdefault(doc.id, len(codes))
 
-    nodes: set[str] = set(metadata)
-    for citing, cited in counts:
-        nodes.add(citing)
-        nodes.add(cited)
-
-    edges = tuple((u, v, counts[(u, v)]) for u, v in sorted(counts))
-    return CitationGraph(nodes=tuple(sorted(nodes)), edges=edges, metadata=metadata)
+    # Only the distinct ids are sorted; rank renumbers the codes into that
+    # order, so the pair keys sort exactly as the (citing, cited) strings.
+    ids = list(codes)
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    nodes = tuple(map(ids.__getitem__, order))
+    n = len(nodes)
+    rank = np.argsort(order)
+    src, dst = rank[np.array(coded, dtype=np.int64).reshape(-1, 2)].T
+    keys, mult = np.unique(src * n + dst, return_counts=True)
+    citing_of, cited_of = divmod(keys, max(n, 1))
+    names = np.array(nodes, dtype=object)
+    edges = tuple(zip(names[citing_of].tolist(), names[cited_of].tolist(), mult.tolist()))
+    return CitationGraph(nodes=nodes, edges=edges, metadata=metadata)
 
 
 @dataclass(frozen=True, eq=False)

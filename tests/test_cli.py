@@ -197,6 +197,25 @@ class TestExitCodes:
         warning = capsys.readouterr().err.strip()
         assert warning.startswith(f"warning: {solver} did not converge in 1 iterations (residual ")
 
+    @pytest.mark.parametrize("kind", ["edges", "docs", "matrix", "xy"])
+    def test_non_utf8_byte_names_file_and_line(self, kind, tmp_path, capsys):
+        good = {
+            "edges": b"citing_id,cited_id\na1,b1\n",
+            "docs": b"id,venue,year,doc_type,cites,authors\na1,J,2000,article,0,\n",
+            "matrix": b"journal,A,B,pubs\nA,0,4,2\n",
+            "xy": b"x,y\n1,2\n",
+        }[kind]
+        path = tmp_path / f"{kind}.csv"
+        path.write_bytes(good + b"b\xff,c\n")
+        args = {
+            "edges": ["pagerank", "--edges", str(path)],
+            "docs": ["pagerank", "--edges", str(DATA / "mini" / "edges.csv"), "--docs", str(path)],
+            "matrix": ["influence", "--matrix", str(path)],
+            "xy": ["correlate", "--data", str(path)],
+        }[kind]
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"citenet: error: {path}:3: not valid UTF-8\n"
+
     def test_data_error_zero_variance_correlation(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"
         path.write_text("x,y\n1,5\n2,5\n3,5\n")

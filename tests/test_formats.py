@@ -1,5 +1,6 @@
 """CSV ingestion, validation reporting, and round-trips."""
 
+import csv
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from citenet import (
     write_edges,
 )
 from citenet.formats import (
+    read_csv_rows,
     read_docs,
     read_edges,
     read_journal_matrix,
@@ -88,6 +90,29 @@ class TestLoadCorpus:
         edges.write_text("citing_id,cited_id\na,b\nonlyone\n")
         with pytest.raises(DataError, match=":3:"):
             load_corpus(edges=edges, strict=True)
+
+    def test_strict_names_dangling_row_over_earlier_self_loop(self, tmp_path):
+        edges = tmp_path / "edges.csv"
+        edges.write_text("citing_id,cited_id\na,b\nb,b\na,ghost\n")
+        docs = tmp_path / "docs.csv"
+        docs.write_text("id,venue,year,doc_type,cites,authors\na,J,2000,article,0,\nb,J,2001,article,0,\n")
+        with pytest.raises(DataError, match=r"edges\.csv:4: edge \(a,ghost\)"):
+            load_corpus(edges=edges, docs=docs, strict=True)
+
+    def test_dangling_notes_precede_self_loop_notes(self, tmp_path):
+        edges = tmp_path / "edges.csv"
+        edges.write_text("citing_id,cited_id\nb,b\na,ghost\nghost,ghost\nz,a\n")
+        docs = tmp_path / "docs.csv"
+        docs.write_text("id,venue,year,doc_type,cites,authors\na,J,2000,article,0,\nb,J,2001,article,0,\n")
+        bundle = load_corpus(edges=edges, docs=docs)
+        assert bundle.warnings == [
+            f"{edges}:3: edge (a,ghost) references unknown document id(s) ghost",
+            f"{edges}:4: edge (ghost,ghost) references unknown document id(s) ghost, ghost",
+            f"{edges}:5: edge (z,a) references unknown document id(s) z",
+            f"{edges}:2: self-loop on 'b' skipped",
+            f"{edges}:4: self-loop on 'ghost' skipped",
+        ]
+        assert bundle.graph.edges == (("a", "ghost", 1), ("z", "a", 1))
 
     def test_no_inputs_rejected(self):
         with pytest.raises(DataError, match="no input files"):
@@ -197,6 +222,28 @@ class TestMatrixFile:
         path = tmp_path / "m.csv"
         write_journal_matrix(matrix, path)
         assert read_journal_matrix(path) == matrix
+
+
+class TestCsvRows:
+    def test_crlf_and_quoted_fields_parse_as_the_csv_module_does(self, tmp_path):
+        path = tmp_path / "docs.csv"
+        path.write_bytes(
+            b"id,venue,year\r\n"
+            b'a,"J, ""Q""",2000\r\n'
+            b'b,"two\r\nlines",2001\n'
+            b"\xc3\xa9,\xe2\x80\xa8,\x00\r"
+            b"c,K,2002"
+        )
+        with open(path, newline="", encoding="utf-8") as fh:
+            expected = list(csv.reader(fh))
+        assert read_csv_rows(path) == expected
+        assert expected[1] == ["a", 'J, "Q"', "2000"]
+
+    def test_line_counts_crlf_endings(self, tmp_path):
+        path = tmp_path / "edges.csv"
+        path.write_bytes(b"citing_id,cited_id\r\na,b\r\nc,\xe9\r\n")
+        with pytest.raises(DataError, match=r"edges\.csv:3: not valid UTF-8$"):
+            read_csv_rows(path)
 
 
 class TestRoundTrip:

@@ -45,7 +45,7 @@ class TestBuildGraph:
         edges = [("a", "b"), ("a", "b")]
         expected = sum(1 for e in edges if e == ("a", "b"))
         g = build_graph(edges)
-        assert g.edge_multiplicity("a", "b") == expected == 2
+        assert g.edges == (("a", "b", expected),) == (("a", "b", 2),)
 
     def test_empty_edge_list_accepted(self):
         g = build_graph([], docs=[DocumentRecord("d1", "J", 2000)])
@@ -55,6 +55,18 @@ class TestBuildGraph:
     def test_empty_endpoint_rejected(self):
         with pytest.raises(DataError, match="empty endpoint"):
             build_graph([("a", "")])
+
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            ([("a", "b"), ("c", "c"), ("d", "")], "self-loop on 'c'"),
+            ([("a", "b"), ("", "d"), ("c", "c")], "edge \\('', 'd'\\) has an empty endpoint"),
+        ],
+        ids=["self_loop_first", "empty_endpoint_first"],
+    )
+    def test_first_bad_pair_in_input_order_is_named(self, pairs, message):
+        with pytest.raises(DataError, match=message):
+            build_graph(pairs)
 
     def test_duplicate_doc_id_rejected(self):
         docs = [DocumentRecord("d1", "J", 2000), DocumentRecord("d1", "K", 2001)]
