@@ -47,11 +47,9 @@ def _add_output_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--strict", action="store_true", help="abort on any malformed row")
 
 
-def _corpus_options(parser: argparse.ArgumentParser, edges: bool = True, docs: bool = True) -> None:
-    if edges:
-        parser.add_argument("--edges", type=Path, help="edge-list CSV")
-    if docs:
-        parser.add_argument("--docs", type=Path, help="document metadata CSV")
+def _corpus_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--edges", type=Path, help="edge-list CSV")
+    parser.add_argument("--docs", type=Path, help="document metadata CSV")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -224,21 +222,27 @@ def _load_graph(args: argparse.Namespace) -> CitationGraph:
         raise _UsageError("citenet: --edges and/or --docs is required")
     bundle = formats.load_corpus(edges=edges, docs=args.docs, strict=args.strict)
     _warn(bundle.warnings)
-    assert bundle.graph is not None
     return bundle.graph
+
+
+def _ranked_table(
+    title: str, columns: tuple[str, ...], cell_formats: tuple[str, ...], rows: Iterable, **notes
+) -> StudyTable:
+    """A table of ``rows``, best first, numbered from 1 in a leading Rank column."""
+    return StudyTable(
+        title=title,
+        columns=("Rank", *columns),
+        formats=("d", *cell_formats),
+        rows=tuple((i, *row) for i, row in enumerate(rows, 1)),
+        **notes,
+    )
 
 
 def _score_table(
     title: str, scores: ranking.ScoreVector, value_name: str, top: int | None
 ) -> StudyTable:
-    ranked = scores.ranked()
-    if top is not None:
-        ranked = ranked[:top]
-    return StudyTable(
-        title=title,
-        columns=("Rank", "Id", value_name),
-        formats=("d", "s", "g"),
-        rows=tuple((i, node, score) for i, (node, score) in enumerate(ranked, 1)),
+    return _ranked_table(
+        title, ("Id", value_name), ("s", "g"), scores.ranked()[:top],
         summary=_solver_summary(scores),
     )
 
@@ -343,18 +347,7 @@ def _cmd_influence(args) -> tuple[list[tuple[str, StudyTable]], int]:
     if args.zero_diagonal:
         matrix = matrix.without_self_citations()
     if args.prune_nonreferencing:
-        # Removing a journal also removes references to it, which can
-        # zero another journal's row, so prune to a fixed point.
-        pruned: list[str] = []
-        while True:
-            refs = matrix.reference_totals()
-            silent = [j for j, r in zip(matrix.journals, refs) if r == 0]
-            if not silent:
-                break
-            pruned.extend(silent)
-            matrix = matrix.restrict_to(
-                [j for j in matrix.journals if j not in set(silent)]
-            )
+        matrix, pruned = matrix.without_nonreferencing()
         if pruned:
             _warn([f"pruned journals giving no references: {', '.join(pruned)}"])
         if matrix.n_journals == 0:
@@ -363,15 +356,14 @@ def _cmd_influence(args) -> tuple[list[tuple[str, StudyTable]], int]:
         matrix, tol=args.tol, max_iter=args.max_iter, normalization=args.normalization
     )
     pubs = dict(zip(matrix.journals, matrix.pubs.tolist()))
-    rows = tuple(
-        (i, journal, weight, result.per_publication[journal], pubs[journal], result.total[journal])
-        for i, (journal, weight) in enumerate(result.weights.ranked(), 1)
-    )
-    table = StudyTable(
-        title="Journal influence measures",
-        columns=("Rank", "Journal", "Weight", "Per Publication", "Pubs", "Total Influence"),
-        formats=("d", "s", "g", "g", "d", "g"),
-        rows=rows,
+    table = _ranked_table(
+        "Journal influence measures",
+        ("Journal", "Weight", "Per Publication", "Pubs", "Total Influence"),
+        ("s", "g", "g", "d", "g"),
+        (
+            (journal, weight, result.per_publication[journal], pubs[journal], result.total[journal])
+            for journal, weight in result.weights.ranked()
+        ),
         summary=_solver_summary(result),
     )
     return [("influence", table)], _exit_code("influence weights", result)
@@ -391,12 +383,9 @@ def _cmd_total_cites(args) -> tuple[list[tuple[str, StudyTable]], int]:
         if args.journal not in counts:
             raise DataError(f"unknown journal {args.journal!r}")
         counts = {args.journal: counts[args.journal]}
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    table = StudyTable(
-        title=f"Total cites ({subtitle})",
-        columns=("Rank", "Journal", "Total Cites"),
-        formats=("d", "s", "d"),
-        rows=tuple((i, j, c) for i, (j, c) in enumerate(ranked, 1)),
+    table = _ranked_table(
+        f"Total cites ({subtitle})", ("Journal", "Total Cites"), ("s", "d"),
+        concentration.RankedCounts.from_counts(counts).items,
     )
     return [("total-cites", table)], EXIT_OK
 
@@ -411,17 +400,14 @@ def _cmd_impact_factor(args) -> tuple[list[tuple[str, StudyTable]], int]:
         values, excluded = {args.journal: value}, ()
     else:
         values, excluded = metrics.impact_factors(graph, args.cite_year, doc_types)
-    ranked = sorted(values.items(), key=lambda kv: (-kv[1], kv[0]))
     footnotes = ()
     if excluded:
         footnotes = (
             "excluded (no items in the two-year window): " + ", ".join(excluded),
         )
-    table = StudyTable(
-        title=f"Two-year impact factor for {args.cite_year}",
-        columns=("Rank", "Journal", "Impact Factor"),
-        formats=("d", "s", "f"),
-        rows=tuple((i, j, v) for i, (j, v) in enumerate(ranked, 1)),
+    table = _ranked_table(
+        f"Two-year impact factor for {args.cite_year}", ("Journal", "Impact Factor"), ("s", "f"),
+        ranking.ScoreVector(values).ranked(),
         footnotes=footnotes,
     )
     return [("impact-factor", table)], EXIT_OK
@@ -563,26 +549,9 @@ def _cmd_study_authorship(args) -> tuple[list[tuple[str, StudyTable]], int]:
 
 
 def _cmd_correlate(args) -> tuple[list[tuple[str, StudyTable]], int]:
-    rows = formats.read_csv_rows(args.data)
-    if not rows or len(rows[0]) < 2:
-        raise DataError(f"{args.data}: need a header row with at least two columns")
-    header = rows[0]
-    x_col = args.x_col or header[0]
-    y_col = args.y_col or header[1]
-    try:
-        xi, yi = header.index(x_col), header.index(y_col)
-    except ValueError as exc:
-        raise DataError(f"{args.data}: {exc}") from None
-    xs: list[float] = []
-    ys: list[float] = []
-    for lineno, row in enumerate(rows[1:], 2):
-        if not row or all(not cell for cell in row):
-            continue
-        try:
-            xs.append(float(row[xi]))
-            ys.append(float(row[yi]))
-        except (ValueError, IndexError):
-            raise DataError(f"{args.data}:{lineno}: bad numeric row {row!r}") from None
+    (x_col, y_col, xy), warnings = formats.read_xy(args.data, args.x_col, args.y_col, args.strict)
+    _warn(warnings)
+    xs, ys = [x for x, _ in xy], [y for _, y in xy]
     value = study.rank_correlation(xs, ys, method=args.method)
     table = StudyTable(
         title=f"{args.method.capitalize()} correlation of {x_col} vs {y_col}",

@@ -9,12 +9,16 @@ All files are UTF-8 CSV with a header row and LF line endings:
   rank_records.csv  journal,year,indexed,tc_rank,if_rank  (empty = unranked)
   profile.csv       cites  (one count per row)
 
+``read_xy`` reads two numeric columns of any CSV file with a header row.
+A leading UTF-8 byte-order mark is dropped.
+
 In strict mode any malformed row aborts the load; otherwise bad rows
 are skipped and enumerated in the load report with line numbers.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 from dataclasses import dataclass, field
@@ -33,43 +37,50 @@ _FALSE = {"false", "0", "no", "n"}
 
 @dataclass
 class CorpusBundle:
-    """In-memory corpus plus the warnings collected while loading it."""
+    """Citation graph plus the warnings collected while loading it."""
 
-    graph: CitationGraph | None = None
-    matrix: JournalCitationMatrix | None = None
-    rank_records: list[RankRecord] = field(default_factory=list)
-    profile: CitationProfile | None = None
+    graph: CitationGraph
     warnings: list[str] = field(default_factory=list)
 
 
 def read_csv_rows(path: Path) -> list[list[str]]:
-    """All rows of a UTF-8 CSV file; a byte that is not UTF-8 is a
-    :class:`DataError` naming the file and line."""
+    """All rows of a UTF-8 CSV file, without a leading byte-order mark.
+
+    A byte that is not UTF-8, or a CSV syntax error such as an
+    over-long field, is a :class:`DataError` naming the file and line.
+    """
     with open(path, "rb") as fh:
-        data = fh.read()
+        # Strip the mark from the bytes rather than decode as utf-8-sig,
+        # whose error offsets leave out the mark's three bytes.
+        data = fh.read().removeprefix(codecs.BOM_UTF8)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         lineno = data.count(b"\n", 0, exc.start) + 1
         raise DataError(f"{path}:{lineno}: not valid UTF-8") from None
-    return list(csv.reader(io.StringIO(text, newline="")))
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        return list(reader)
+    except csv.Error as exc:
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from None
 
 
 class _RowReader:
-    """CSV row iterator that validates the header and tracks line numbers."""
+    """CSV row iterator over the non-blank rows after the header, with line
+    numbers; checks the header when ``expected_header`` is given."""
 
-    def __init__(self, path: Path, expected_header: list[str], strict: bool):
+    def __init__(self, path: Path, strict: bool, expected_header: list[str] | None = None):
         self.path = path
         self.strict = strict
         self.warnings: list[str] = []
         rows = read_csv_rows(path)
-        if not rows or rows[0] != expected_header:
+        self.header = rows[0] if rows else []
+        self.rows = rows[1:]
+        if expected_header is not None and self.header != expected_header:
             raise DataError(
                 f"{path}: expected header {','.join(expected_header)!r}, "
-                f"got {','.join(rows[0]) if rows else '<empty file>'!r}"
+                f"got {','.join(self.header) if rows else '<empty file>'!r}"
             )
-        self.header = rows[0]
-        self.rows = rows[1:]
 
     def complain(self, lineno: int, message: str) -> None:
         note = f"{self.path}:{lineno}: {message}"
@@ -79,15 +90,14 @@ class _RowReader:
 
     def __iter__(self):
         for lineno, row in enumerate(self.rows, 2):
-            if not row or all(not cell for cell in row):
-                continue
-            yield lineno, row
+            if any(row):
+                yield lineno, row
 
 
 def _read_edges_with_lines(
     path: Path, strict: bool
 ) -> tuple[list[tuple[int, str, str]], list[str]]:
-    reader = _RowReader(path, ["citing_id", "cited_id"], strict)
+    reader = _RowReader(path, strict, ["citing_id", "cited_id"])
     edges: list[tuple[int, str, str]] = []
     for lineno, row in reader:
         if len(row) != 2 or not row[0] or not row[1]:
@@ -103,7 +113,7 @@ def read_edges(path: Path, strict: bool = False) -> tuple[list[tuple[str, str]],
 
 
 def read_docs(path: Path, strict: bool = False) -> tuple[list[DocumentRecord], list[str]]:
-    reader = _RowReader(path, ["id", "venue", "year", "doc_type", "cites", "authors"], strict)
+    reader = _RowReader(path, strict, ["id", "venue", "year", "doc_type", "cites", "authors"])
     docs: list[DocumentRecord] = []
     seen: set[str] = set()
     for lineno, row in reader:
@@ -132,7 +142,7 @@ def read_docs(path: Path, strict: bool = False) -> tuple[list[DocumentRecord], l
 
 
 def read_rank_records(path: Path, strict: bool = False) -> tuple[list[RankRecord], list[str]]:
-    reader = _RowReader(path, ["journal", "year", "indexed", "tc_rank", "if_rank"], strict)
+    reader = _RowReader(path, strict, ["journal", "year", "indexed", "tc_rank", "if_rank"])
     records: list[RankRecord] = []
 
     def parse_rank(text: str) -> int | None:
@@ -162,7 +172,7 @@ def read_rank_records(path: Path, strict: bool = False) -> tuple[list[RankRecord
 
 
 def read_profile(path: Path, strict: bool = False) -> tuple[CitationProfile, list[str]]:
-    reader = _RowReader(path, ["cites"], strict)
+    reader = _RowReader(path, strict, ["cites"])
     counts: list[int] = []
     for lineno, row in reader:
         try:
@@ -178,10 +188,11 @@ def read_profile(path: Path, strict: bool = False) -> tuple[CitationProfile, lis
 
 def read_journal_matrix(path: Path) -> JournalCitationMatrix:
     """Read a square journal-to-journal count matrix (always strict)."""
-    rows = read_csv_rows(path)
-    if not rows or len(rows[0]) < 3 or rows[0][0] != "journal" or rows[0][-1] != "pubs":
+    reader = _RowReader(path, strict=True)
+    header = reader.header
+    if len(header) < 3 or header[0] != "journal" or header[-1] != "pubs":
         raise DataError(f"{path}: header must be journal,<journal...>,pubs")
-    journals = tuple(rows[0][1:-1])
+    journals = tuple(header[1:-1])
     if len(set(journals)) != len(journals):
         raise DataError(f"{path}: duplicate journal names in header")
     n = len(journals)
@@ -189,9 +200,7 @@ def read_journal_matrix(path: Path) -> JournalCitationMatrix:
     pubs = np.zeros(n, dtype=np.int64)
     seen: set[str] = set()
     index = {j: i for i, j in enumerate(journals)}
-    for lineno, row in enumerate(rows[1:], 2):
-        if not row or all(not cell for cell in row):
-            continue
+    for lineno, row in reader:
         if len(row) != n + 2:
             raise DataError(f"{path}:{lineno}: expected {n + 2} fields, got {len(row)}")
         name = row[0]
@@ -203,7 +212,7 @@ def read_journal_matrix(path: Path) -> JournalCitationMatrix:
         try:
             counts[index[name]] = [int(cell) for cell in row[1:-1]]
             pubs[index[name]] = int(row[-1])
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from None
     missing = set(journals) - seen
     if missing:
@@ -211,70 +220,71 @@ def read_journal_matrix(path: Path) -> JournalCitationMatrix:
     return JournalCitationMatrix(journals=journals, counts=counts, pubs=pubs)
 
 
-def load_corpus(
-    edges: Path | None = None,
-    docs: Path | None = None,
-    matrix: Path | None = None,
-    ranks: Path | None = None,
-    profile: Path | None = None,
-    strict: bool = False,
-    allow_self_loops: bool = False,
-) -> CorpusBundle:
-    """Load and cross-validate a corpus from its files.
+def read_xy(
+    path: Path, x_col: str | None = None, y_col: str | None = None, strict: bool = False
+) -> tuple[tuple[str, str, list[tuple[float, float]]], list[str]]:
+    """(x, y) pairs from two numeric columns of a CSV file, named by its
+    header (default: the first two), as ``((x_col, y_col, pairs), warnings)``.
 
-    A graph is built when an edges and/or docs file is given. With both
-    present, edge endpoints lacking a document record are an error in
-    strict mode (the row is named) and a warning otherwise.
+    A row whose two cells are not both numbers is a bad row.
     """
-    if not any((edges, docs, matrix, ranks, profile)):
+    reader = _RowReader(path, strict)
+    header = reader.header
+    if len(header) < 2:
+        raise DataError(f"{path}: need a header row with at least two columns")
+    x_col = x_col or header[0]
+    y_col = y_col or header[1]
+    try:
+        xi, yi = header.index(x_col), header.index(y_col)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    pairs: list[tuple[float, float]] = []
+    for lineno, row in reader:
+        try:
+            pairs.append((float(row[xi]), float(row[yi])))
+        except (ValueError, IndexError):
+            reader.complain(lineno, f"bad numeric row {row!r}")
+    return (x_col, y_col, pairs), reader.warnings
+
+
+def load_corpus(
+    edges: Path | None = None, docs: Path | None = None, strict: bool = False
+) -> CorpusBundle:
+    """Load and cross-validate a citation graph from an edges and/or docs file.
+
+    With both present, edge endpoints lacking a document record are an
+    error in strict mode (the row is named) and a warning otherwise.
+    Self-loops are skipped with a warning, or abort in strict mode.
+    """
+    if edges is None and docs is None:
         raise DataError("no input files given")
-    bundle = CorpusBundle()
-
-    edge_rows: list[tuple[int, str, str]] = []
-    doc_rows: list[DocumentRecord] = []
-    if edges is not None:
-        edge_rows, warnings = _read_edges_with_lines(edges, strict)
-        bundle.warnings.extend(warnings)
-    if docs is not None:
-        doc_rows, warnings = read_docs(docs, strict)
-        bundle.warnings.extend(warnings)
-    if edges is not None or docs is not None:
-        # One pass applies the edge-row policy. Dangling notes come before
-        # self-loop notes, and in strict mode the first dangling row wins
-        # over an earlier self-loop.
-        known = {d.id for d in doc_rows} if docs is not None else None
-        loops: list[str] = []
-        pairs: list[tuple[str, str]] = []
-        for lineno, citing, cited in edge_rows:
-            if known is not None and (citing not in known or cited not in known):
-                dangling = [x for x in (citing, cited) if x not in known]
-                note = (
-                    f"{edges}:{lineno}: edge ({citing},{cited}) references "
-                    f"unknown document id(s) {', '.join(dangling)}"
-                )
-                if strict:
-                    raise DataError(note)
-                bundle.warnings.append(note)
-            if citing == cited and not allow_self_loops:
-                loops.append(f"{edges}:{lineno}: self-loop on {citing!r} skipped")
-                continue
-            pairs.append((citing, cited))
-        if strict and loops:
-            raise DataError(loops[0])
-        bundle.warnings.extend(loops)
-        bundle.graph = build_graph(pairs, doc_rows, allow_self_loops=allow_self_loops)
-
-    if matrix is not None:
-        bundle.matrix = read_journal_matrix(matrix)
-    if ranks is not None:
-        records, warnings = read_rank_records(ranks, strict)
-        bundle.rank_records = records
-        bundle.warnings.extend(warnings)
-    if profile is not None:
-        prof, warnings = read_profile(profile, strict)
-        bundle.profile = prof
-        bundle.warnings.extend(warnings)
-    return bundle
+    edge_rows, warnings = _read_edges_with_lines(edges, strict) if edges is not None else ([], [])
+    doc_rows, notes = read_docs(docs, strict) if docs is not None else ([], [])
+    warnings += notes
+    # One pass applies the edge-row policy. Dangling notes come before
+    # self-loop notes, and in strict mode the first dangling row wins
+    # over an earlier self-loop.
+    known = {d.id for d in doc_rows} if docs is not None else None
+    loops: list[str] = []
+    pairs: list[tuple[str, str]] = []
+    for lineno, citing, cited in edge_rows:
+        if known is not None and (citing not in known or cited not in known):
+            dangling = [x for x in (citing, cited) if x not in known]
+            note = (
+                f"{edges}:{lineno}: edge ({citing},{cited}) references "
+                f"unknown document id(s) {', '.join(dangling)}"
+            )
+            if strict:
+                raise DataError(note)
+            warnings.append(note)
+        if citing == cited:
+            loops.append(f"{edges}:{lineno}: self-loop on {citing!r} skipped")
+            continue
+        pairs.append((citing, cited))
+    if strict and loops:
+        raise DataError(loops[0])
+    warnings.extend(loops)
+    return CorpusBundle(build_graph(pairs, doc_rows), warnings)
 
 
 def write_edges(graph: CitationGraph, path: Path) -> None:

@@ -61,6 +61,8 @@ class DocumentRecord:
         object.__setattr__(self, "authors", tuple(self.authors))
         if not isinstance(self.year, int) or self.year <= 0:
             raise DataError(f"document {self.id!r}: year must be a positive integer")
+        if self.year >= 2**63:  # the graph's node columns hold years as int64
+            raise DataError(f"document {self.id!r}: year {self.year} is out of range")
         if any(not a.strip() for a in self.authors):
             raise DataError(f"document {self.id!r}: author names must be nonempty")
         if self.cites < 0:
@@ -345,24 +347,40 @@ class JournalCitationMatrix:
 
     def restrict_to(self, journals: Sequence[str]) -> "JournalCitationMatrix":
         """Square submatrix over ``journals`` (kept in matrix order)."""
-        unknown = sorted(set(journals) - set(self.journals))
+        wanted = set(journals)
+        unknown = sorted(wanted - set(self.journals))
         if unknown:
             raise DataError(f"unknown journals: {', '.join(unknown)}")
-        keep = [j for j in self.journals if j in set(journals)]
-        idx = [self.index(j) for j in keep]
+        idx = [i for i, j in enumerate(self.journals) if j in wanted]
         return JournalCitationMatrix(
-            tuple(keep),
+            tuple(self.journals[i] for i in idx),
             self.counts[np.ix_(idx, idx)],
             self.pubs[idx],
             self.window,
             self.dropped,
         )
 
+    def without_nonreferencing(self) -> tuple["JournalCitationMatrix", tuple[str, ...]]:
+        """Copy without the journals that give no references, and their names.
+
+        Removing a journal also removes the references to it, which can
+        leave another journal with none, so pruning runs to a fixed point.
+        Names come in the order they were pruned, in matrix order within
+        one round; the result may have no journals left.
+        """
+        matrix, pruned = self, []
+        while True:
+            refs = matrix.reference_totals()
+            silent = [j for j, r in zip(matrix.journals, refs) if r == 0]
+            if not silent:
+                return matrix, tuple(pruned)
+            pruned += silent
+            matrix = matrix.restrict_to([j for j, r in zip(matrix.journals, refs) if r])
+
 
 def aggregate_to_journal_matrix(
     graph: CitationGraph,
     window: TimeWindow,
-    zero_diagonal: bool = False,
 ) -> JournalCitationMatrix:
     """Aggregate document edges to a journal matrix for ``window``.
 
@@ -411,9 +429,6 @@ def aggregate_to_journal_matrix(
     counts = np.bincount(
         i[kept] * n + j[kept], weights=mult[live][kept], minlength=n * n
     ).astype(np.int64).reshape(n, n)
-
-    if zero_diagonal:
-        np.fill_diagonal(counts, 0)
 
     return JournalCitationMatrix(
         journals=journals,

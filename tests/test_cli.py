@@ -216,6 +216,32 @@ class TestExitCodes:
         assert main(args) == 2
         assert capsys.readouterr().err == f"citenet: error: {path}:3: not valid UTF-8\n"
 
+    def test_csv_syntax_error_names_file_and_line(self, tmp_path, capsys):
+        path = tmp_path / "edges.csv"
+        path.write_text(f"citing_id,cited_id\n{'a' * 140_000},b\n")
+        assert main(["pagerank", "--edges", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"citenet: error: {path}:2: field larger than field limit (131072)\n"
+        )
+
+    @pytest.mark.parametrize("kind", ["docs", "matrix"])
+    def test_number_too_large_for_64_bits_names_file_and_line(self, kind, tmp_path, capsys):
+        big = "9" * 20
+        path = tmp_path / f"{kind}.csv"
+        path.write_text({
+            "docs": f"id,venue,year,doc_type,cites,authors\nb,J,2000,,,\na,J,{big},,,\n",
+            "matrix": f"journal,A,B,pubs\nA,0,1,2\nB,{big},0,3\n",
+        }[kind])
+        args = {
+            "docs": ["impact-factor", "--docs", str(path), "--cite-year", "2001", "--strict"],
+            "matrix": ["influence", "--matrix", str(path)],
+        }[kind]
+        assert main(args) == 2
+        assert capsys.readouterr().err == {
+            "docs": f"citenet: error: {path}:3: document 'a': year {big} is out of range\n",
+            "matrix": f"citenet: error: {path}:3: Python int too large to convert to C long\n",
+        }[kind]
+
     def test_data_error_zero_variance_correlation(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"
         path.write_text("x,y\n1,5\n2,5\n3,5\n")
@@ -284,6 +310,18 @@ class TestCliBehaviors:
         out = capsys.readouterr().out
         assert out.startswith("{")
         assert '"H-Index"' in out
+
+    def test_correlate_skips_bad_rows_unless_strict(self, tmp_path, capsys):
+        path = tmp_path / "xy.csv"
+        path.write_text("x,y\n1,2\na,3\n2,4\n3,7\n")
+        assert main(["correlate", "--data", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == f"warning: {path}:3: bad numeric row ['a', '3']\n"
+        assert "pearson  3" in captured.out
+        assert main(["correlate", "--data", str(path), "--strict"]) == 2
+        assert capsys.readouterr().err == (
+            f"citenet: error: {path}:3: bad numeric row ['a', '3']\n"
+        )
 
     def test_strict_flag_propagates(self, tmp_path, capsys):
         edges = tmp_path / "edges.csv"

@@ -22,6 +22,7 @@ from citenet.formats import (
     read_journal_matrix,
     read_profile,
     read_rank_records,
+    read_xy,
 )
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -36,30 +37,25 @@ class TestLoadCorpus:
 
     def test_bundled_fixtures_load_with_zero_warnings(self):
         for corpus in ("laureates_ranks", "laureates_authors"):
-            ranks = DATA / corpus / "rank_records.csv"
-            bundle = load_corpus(
-                docs=DATA / corpus / "docs.csv",
-                ranks=ranks if ranks.exists() else None,
-                strict=True,
-            )
+            bundle = load_corpus(docs=DATA / corpus / "docs.csv", strict=True)
             assert bundle.warnings == []
-            assert bundle.graph is not None
+            assert bundle.graph.n_nodes > 0
+            ranks = DATA / corpus / "rank_records.csv"
+            if ranks.exists():
+                assert read_rank_records(ranks, strict=True)[1] == []
 
     def test_bundled_fixtures_match_their_builders(self):
         # Guards against drift between the committed CSVs and the
         # programmatic definitions in laureate_fixture.
         import laureate_fixture as fx
 
-        bundle = load_corpus(
-            docs=DATA / "laureates_ranks" / "docs.csv",
-            ranks=DATA / "laureates_ranks" / "rank_records.csv",
-            strict=True,
-        )
-        docs, records = fx.build_ranks_corpus()
+        bundle = load_corpus(docs=DATA / "laureates_ranks" / "docs.csv", strict=True)
+        records, _ = read_rank_records(DATA / "laureates_ranks" / "rank_records.csv", strict=True)
+        docs, want_records = fx.build_ranks_corpus()
         assert sorted(bundle.graph.metadata.values(), key=lambda d: d.id) == sorted(
             docs, key=lambda d: d.id
         )
-        assert bundle.rank_records == records
+        assert records == want_records
         authors = load_corpus(docs=DATA / "laureates_authors" / "docs.csv", strict=True)
         assert sorted(authors.graph.metadata.values(), key=lambda d: d.id) == sorted(
             fx.build_authors_corpus(), key=lambda d: d.id
@@ -224,7 +220,56 @@ class TestMatrixFile:
         assert read_journal_matrix(path) == matrix
 
 
+class TestXYFile:
+    def write(self, tmp_path, text):
+        path = tmp_path / "xy.csv"
+        path.write_text(text)
+        return path
+
+    def test_strict_names_the_bad_row(self, tmp_path):
+        path = self.write(tmp_path, "x,y\n1,2\na,3\n")
+        with pytest.raises(DataError) as err:
+            read_xy(path, strict=True)
+        assert str(err.value) == f"{path}:3: bad numeric row ['a', '3']"
+
+    def test_non_strict_skips_and_warns(self, tmp_path):
+        path = self.write(tmp_path, "x,y\n1,2\na,3\n4\n2,4.5\n")
+        data, warnings = read_xy(path)
+        assert data == ("x", "y", [(1.0, 2.0), (2.0, 4.5)])
+        assert warnings == [
+            f"{path}:3: bad numeric row ['a', '3']",
+            f"{path}:4: bad numeric row ['4']",
+        ]
+
+    def test_columns_are_chosen_by_name(self, tmp_path):
+        path = self.write(tmp_path, "id,x,y\nq,1,2\nr,3,5\n")
+        assert read_xy(path, "y", "x") == (("y", "x", [(2.0, 1.0), (5.0, 3.0)]), [])
+        with pytest.raises(DataError) as err:
+            read_xy(path, x_col="z")
+        assert str(err.value) == f"{path}: 'z' is not in list"
+
+    def test_blank_and_header_only_files(self, tmp_path):
+        assert read_xy(self.write(tmp_path, "x,y\n")) == (("x", "y", []), [])
+        assert read_xy(self.write(tmp_path, "x,y\n\n,\n1,2\n")) == (("x", "y", [(1.0, 2.0)]), [])
+        for text in ("", "x\n1\n"):
+            path = self.write(tmp_path, text)
+            with pytest.raises(DataError, match="need a header row with at least two columns"):
+                read_xy(path)
+
+
 class TestCsvRows:
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(b"citing_id,cited_id\na,b\nb,c\n")
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert load_corpus(edges=marked, strict=True) == load_corpus(edges=plain, strict=True)
+
+    def test_bad_byte_after_a_byte_order_mark_names_its_line(self, tmp_path):
+        path = tmp_path / "edges.csv"
+        path.write_bytes(b"\xef\xbb\xbfciting_id,cited_id\na,b\n\xff,c\n")
+        with pytest.raises(DataError, match=r"edges\.csv:3: not valid UTF-8$"):
+            read_csv_rows(path)
+
     def test_crlf_and_quoted_fields_parse_as_the_csv_module_does(self, tmp_path):
         path = tmp_path / "docs.csv"
         path.write_bytes(

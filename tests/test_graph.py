@@ -8,6 +8,7 @@ import pytest
 from citenet import (
     DataError,
     DocumentRecord,
+    JournalCitationMatrix,
     TimeWindow,
     aggregate_to_journal_matrix,
     build_graph,
@@ -220,8 +221,25 @@ class TestJournalAggregation:
             DocumentRecord("y2", "Y", 2004),
         ]
         g = build_graph([("y1", "y2")], docs=docs)
-        m = aggregate_to_journal_matrix(g, TimeWindow(2005, (2004, 2004)), zero_diagonal=True)
-        assert m.counts.sum() == 0
+        m = aggregate_to_journal_matrix(g, TimeWindow(2005, (2004, 2004)))
+        assert m.counts.sum() == 1
+        assert m.without_self_citations().counts.sum() == 0
+
+    def test_pruning_runs_to_a_fixed_point(self):
+        # Y and Z give no references; X cites only Y, B cites only X.
+        journals = ("Z", "A", "Y", "B", "X")
+        counts = np.zeros((5, 5), dtype=np.int64)
+        for i, j in (("A", "A"), ("A", "B"), ("X", "Y"), ("B", "X"), ("A", "Z")):
+            counts[journals.index(i), journals.index(j)] += 1
+        window = TimeWindow(2005, (2003, 2004))
+        m = JournalCitationMatrix(journals, counts, np.arange(1, 6), window, ("Q",))
+        pruned, names = m.without_nonreferencing()
+        assert names == ("Z", "Y", "X", "B")  # round order; matrix order within a round
+        assert pruned == JournalCitationMatrix(("A",), [[1]], [2], window, ("Q",))
+
+    def test_pruning_keeps_a_matrix_where_every_journal_references(self):
+        m = JournalCitationMatrix(("A", "B"), [[0, 2], [1, 0]], [1, 1])
+        assert m.without_nonreferencing() == (m, ())
 
     def test_missing_metadata_for_cited_doc_errors(self):
         docs = [DocumentRecord("a1", "A", 2000)]

@@ -287,9 +287,11 @@ class TestAgainstStringWalk:
     def test_aggregate(self, graph):
         for year in CITE_YEARS:
             for window in (TimeWindow.two_year(year), TimeWindow(year, (year - 5, year))):
-                for zero_diagonal in (False, True):
-                    got = outcome(aggregate_to_journal_matrix, graph, window, zero_diagonal)
-                    assert got == outcome(ref_aggregate, graph, window, zero_diagonal), window
+                got = outcome(aggregate_to_journal_matrix, graph, window)
+                assert got == outcome(ref_aggregate, graph, window), window
+                if got[0] == "ok":
+                    zeroed = ref_aggregate(graph, window, zero_diagonal=True)
+                    assert got[1].without_self_citations() == zeroed, window
 
     def test_aggregate_takes_both_paths(self, graph):
         results = [outcome(aggregate_to_journal_matrix, graph, TimeWindow.two_year(year))[0]
