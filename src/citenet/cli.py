@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections.abc import Iterable, Sequence
+from itertools import islice
 from pathlib import Path
 
 from . import concentration, formats, metrics, ranking, reports, study
@@ -516,10 +517,11 @@ def _resolved_samples(args) -> dict[str, list]:
     samples = _study_samples(args)
     records, warnings = formats.read_rank_records(args.ranks, args.strict)
     _warn(warnings)
-    return {
-        author: study.resolve_rank_records(sample, records)
-        for author, sample in samples.items()
-    }
+    # One call indexes the records once for every subject's documents.
+    pairs = iter(study.resolve_rank_records(
+        [doc for sample in samples.values() for doc in sample], records
+    ))
+    return {author: list(islice(pairs, len(sample))) for author, sample in samples.items()}
 
 
 def _cmd_study_rank_buckets(args) -> tuple[list[tuple[str, StudyTable]], int]:

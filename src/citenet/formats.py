@@ -21,11 +21,11 @@ from __future__ import annotations
 import codecs
 import csv
 import io
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
+from ._numpy import np
 from .errors import DataError
 from .graph import CitationGraph, DocType, DocumentRecord, JournalCitationMatrix, build_graph
 from .metrics import CitationProfile
@@ -43,11 +43,14 @@ class CorpusBundle:
     warnings: list[str] = field(default_factory=list)
 
 
-def read_csv_rows(path: Path) -> list[list[str]]:
-    """All rows of a UTF-8 CSV file, without a leading byte-order mark.
+def _csv_records(path: Path) -> Iterator[tuple[int, list[str]]]:
+    """(start line, row) for every record of a UTF-8 CSV file, without a
+    leading byte-order mark.
 
-    A byte that is not UTF-8, or a CSV syntax error such as an
-    over-long field, is a :class:`DataError` naming the file and line.
+    A record's line is the physical line it starts on, also after a
+    quoted field that spans lines. A byte that is not UTF-8, or a CSV
+    syntax error such as an over-long field, is a :class:`DataError`
+    naming the file and line.
     """
     with open(path, "rb") as fh:
         # Strip the mark from the bytes rather than decode as utf-8-sig,
@@ -59,27 +62,35 @@ def read_csv_rows(path: Path) -> list[list[str]]:
         lineno = data.count(b"\n", 0, exc.start) + 1
         raise DataError(f"{path}:{lineno}: not valid UTF-8") from None
     reader = csv.reader(io.StringIO(text, newline=""))
+    lineno = 1
     try:
-        return list(reader)
+        for row in reader:
+            yield lineno, row
+            lineno = reader.line_num + 1
     except csv.Error as exc:
         raise DataError(f"{path}:{reader.line_num}: {exc}") from None
 
 
+def read_csv_rows(path: Path) -> list[list[str]]:
+    """All rows of a UTF-8 CSV file (see :func:`_csv_records`)."""
+    return [row for _, row in _csv_records(path)]
+
+
 class _RowReader:
-    """CSV row iterator over the non-blank rows after the header, with line
-    numbers; checks the header when ``expected_header`` is given."""
+    """One pass over the non-blank rows after the header, with the line
+    each starts on; checks the header when ``expected_header`` is given."""
 
     def __init__(self, path: Path, strict: bool, expected_header: list[str] | None = None):
         self.path = path
         self.strict = strict
         self.warnings: list[str] = []
-        rows = read_csv_rows(path)
-        self.header = rows[0] if rows else []
-        self.rows = rows[1:]
+        self._records = _csv_records(path)
+        first = next(self._records, None)
+        self.header = first[1] if first else []
         if expected_header is not None and self.header != expected_header:
             raise DataError(
                 f"{path}: expected header {','.join(expected_header)!r}, "
-                f"got {','.join(self.header) if rows else '<empty file>'!r}"
+                f"got {','.join(self.header) if first else '<empty file>'!r}"
             )
 
     def complain(self, lineno: int, message: str) -> None:
@@ -89,9 +100,7 @@ class _RowReader:
         self.warnings.append(note)
 
     def __iter__(self):
-        for lineno, row in enumerate(self.rows, 2):
-            if any(row):
-                yield lineno, row
+        return ((lineno, row) for lineno, row in self._records if any(row))
 
 
 def _read_edges_with_lines(

@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
-import numpy as np
-
+from ._numpy import np
 from .errors import DataError
 
 
@@ -257,6 +256,8 @@ def build_graph(
             raise DataError(f"duplicate document id {doc.id!r}")
         metadata[doc.id] = doc
         codes.setdefault(doc.id, len(codes))
+    if not coded:  # a docs-only graph needs no arrays
+        return CitationGraph(nodes=tuple(sorted(codes)), edges=(), metadata=metadata)
 
     # Only the distinct ids are sorted; rank renumbers the codes into that
     # order, so the pair keys sort exactly as the (citing, cited) strings.

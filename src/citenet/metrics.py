@@ -7,8 +7,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
+from ._numpy import np
 from .errors import DataError, UndefinedMetricError
 from .graph import CitationGraph, DocType, JournalCitationMatrix, TimeWindow
 from .graph import normalize_author as normalize_author  # re-exported

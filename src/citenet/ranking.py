@@ -18,8 +18,7 @@ from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import TypeVar
 
-import numpy as np
-
+from ._numpy import np
 from .errors import DataError
 from .graph import CitationGraph, JournalCitationMatrix
 

@@ -18,8 +18,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
 from statistics import median as _median
 
-import numpy as np
-
+from ._numpy import np
 from .errors import DataError, UndefinedMetricError
 from .graph import DocType, DocumentRecord, normalize_author
 

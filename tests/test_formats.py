@@ -144,6 +144,26 @@ class TestDocsFile:
         assert any(":2:" in w for w in warnings)
         assert any("duplicate" in w for w in warnings)
 
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_rows_after_a_multiline_field_name_their_physical_line(self, tmp_path, strict):
+        path = tmp_path / "docs.csv"
+        path.write_text(
+            "id,venue,year,doc_type,cites,authors\n"
+            'a,"J\n'
+            'K",2000,article,0,\n'
+            "b,J,2001,article,0,\n"
+            "c,J,notayear,article,0,\n"
+        )
+        note = f"{path}:5: invalid literal for int() with base 10: 'notayear'"
+        if strict:
+            with pytest.raises(DataError) as err:
+                read_docs(path, strict=True)
+            assert str(err.value) == note
+        else:
+            docs, warnings = read_docs(path)
+            assert [(d.id, d.venue) for d in docs] == [("a", "J\nK"), ("b", "J")]
+            assert warnings == [note]
+
 
 class TestRankRecordsFile:
     def test_reads_fixture_records(self):

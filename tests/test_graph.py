@@ -7,11 +7,14 @@ import pytest
 
 from citenet import (
     DataError,
+    DocType,
     DocumentRecord,
     JournalCitationMatrix,
     TimeWindow,
     aggregate_to_journal_matrix,
     build_graph,
+    journal_article_counts,
+    load_corpus,
 )
 
 
@@ -86,6 +89,53 @@ class TestBuildGraph:
             shuffled = edges[:]
             rng.shuffle(shuffled)
             assert build_graph(shuffled) == g1
+
+
+class TestDocsOnlyGraph:
+    """Without edges ``build_graph`` returns before building any array; the
+    graph must be the one the general path builds."""
+
+    DOCS = [
+        DocumentRecord("c", "J", 2001),
+        DocumentRecord("a", "K", 2000, doc_type=DocType.REVIEW),
+        DocumentRecord("b", "J", 2000),
+        DocumentRecord("d", "", 2000),
+    ]
+
+    def check(self, graph):
+        assert graph.nodes == ("a", "b", "c", "d")
+        assert graph.edges == ()
+        for array in graph.edge_arrays():
+            assert array.dtype == np.int64 and array.shape == (0,)
+        journal, year, doc_type = graph.node_columns()
+        assert journal.tolist() == [1, 0, 0, -1]
+        assert year.tolist() == [2000, 2000, 2001, 2000]
+        assert doc_type.tolist() == [1, 0, 0, 0]
+        assert journal_article_counts(graph, 2000) == {"J": 1, "K": 1}
+        # Node columns and article counts do not depend on edges, so a
+        # graph over the same documents with one edge has the same ones.
+        general = build_graph([("a", "b")], self.DOCS)
+        for got, want in zip(graph.node_columns(), general.node_columns()):
+            assert np.array_equal(got, want)
+        assert journal_article_counts(graph, 2000) == journal_article_counts(general, 2000)
+
+    def test_no_edges(self):
+        self.check(build_graph([], self.DOCS))
+
+    def test_edge_rows_all_skipped(self, tmp_path):
+        docs, edges = tmp_path / "docs.csv", tmp_path / "edges.csv"
+        docs.write_text(
+            "id,venue,year,doc_type,cites,authors\n"
+            "c,J,2001,article,0,\na,K,2000,review,0,\nb,J,2000,article,0,\nd,,2000,article,0,\n"
+        )
+        edges.write_text("citing_id,cited_id\na,a\nb\nc,\n,d\n\nd,d,x\n")
+        bundle = load_corpus(edges=edges, docs=docs)
+        assert len(bundle.warnings) == 5
+        self.check(bundle.graph)
+        assert bundle.graph == build_graph([], self.DOCS) == load_corpus(docs=docs).graph
+        alone = load_corpus(edges=edges).graph
+        assert alone.nodes == () and alone.edges == ()
+        assert [a.tolist() for a in alone.edge_arrays()] == [[], [], []]
 
 
 class TestDocumentRecord:

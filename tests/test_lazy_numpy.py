@@ -1,0 +1,83 @@
+"""numpy is imported on first array use (``citenet._numpy``).
+
+Each test runs in a fresh interpreter, where numpy is not yet imported.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+from laureate_fixture import SUBJECT_NAMES
+
+TESTS = Path(__file__).resolve().parent
+DATA = TESTS / "data"
+SRC = TESTS.parent / "src"
+
+
+def run_fresh(script: str, *args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", script, *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_docs_only_commands_never_import_numpy(tmp_path):
+    authors = [flag for name in SUBJECT_NAMES for flag in ("--author", name)]
+    by_author = ["--docs", str(DATA / "laureates_authors" / "docs.csv"), *authors]
+    by_rank = ["--docs", str(DATA / "laureates_ranks" / "docs.csv"),
+               "--ranks", str(DATA / "laureates_ranks" / "rank_records.csv"), *authors]
+    out = ["--out-dir", str(tmp_path)]
+    docs_only = [
+        ["study", "sample", "--docs", str(DATA / "laureates_authors" / "docs.csv"),
+         "--author", SUBJECT_NAMES[0], *out],
+        ["study", "rank-buckets", *by_rank, *out],
+        ["study", "tc-vs-if", *by_rank, *out],
+        ["study", "authorship", *by_author, *out],
+        ["study", "authorship", *by_author, "--reviews-only", *out],
+        ["h-index", "--profile", str(DATA / "profile.csv"), *out],
+    ]
+    solver = ["pagerank", "--edges", str(DATA / "mini" / "edges.csv"), *out]
+    script = textwrap.dedent("""
+        import json, sys
+        import citenet, citenet.cli
+        docs_only, solver = json.loads(sys.argv[1])
+        for args in docs_only:
+            assert citenet.cli.main(args) == 0, args
+        assert "numpy" not in sys.modules, "a docs-only command imported numpy"
+        assert citenet.cli.main(solver) == 0
+        assert "numpy" in sys.modules
+    """)
+    run = run_fresh(script, json.dumps([docs_only, solver]))
+    assert run.returncode == 0, run.stderr
+    assert (tmp_path / "pagerank.csv").exists()
+
+
+def test_threads_racing_the_first_import_all_get_numpy():
+    script = textwrap.dedent("""
+        import sys, threading
+        sys.setswitchinterval(1e-6)
+        from citenet._numpy import np
+        assert "numpy" not in sys.modules
+        n = 8
+        barrier = threading.Barrier(n)
+        results = [None] * n
+
+        def work(i):
+            barrier.wait()
+            results[i] = int(np.bincount(np.arange(i + 1), minlength=n).sum())
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(n)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == list(range(1, n + 1)), results
+    """)
+    run = run_fresh(script)
+    assert run.returncode == 0, run.stderr

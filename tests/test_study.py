@@ -2,8 +2,11 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import laureate_fixture as fx
 from citenet import (
@@ -22,6 +25,7 @@ from citenet import (
     stratified_every_kth,
     tc_vs_if_comparison,
 )
+from citenet.study import percent
 
 
 def make_docs(n, cites=None):
@@ -315,6 +319,20 @@ def ranks_with_ties(values):
             ranks[ordered[k]] = (i + j) / 2 + 1
         i = j + 1
     return ranks
+
+
+class TestPercent:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 10**6), st.integers(0, 10**6))
+    @example(15, 16)  # 93.75 -> 93.8
+    @example(5, 16)  # 31.25 -> 31.3
+    @example(1, 0)
+    def test_rounds_half_up_to_one_decimal(self, count, denominator):
+        if denominator == 0:
+            assert percent(count, denominator) is None
+            return
+        tenths = Fraction(1000 * count, denominator)
+        assert percent(count, denominator) == math.floor(tenths + Fraction(1, 2)) / 10
 
 
 class TestRankCorrelation:
