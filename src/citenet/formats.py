@@ -28,6 +28,7 @@ from pathlib import Path
 from ._numpy import np
 from .errors import DataError
 from .graph import CitationGraph, DocType, DocumentRecord, JournalCitationMatrix, build_graph
+from .graph import _InternedEdges
 from .metrics import CitationProfile
 from .study import RankRecord
 
@@ -105,20 +106,27 @@ class _RowReader:
 
 def _read_edges_with_lines(
     path: Path, strict: bool
-) -> tuple[list[tuple[int, str, str]], list[str]]:
+) -> tuple[dict[str, int], list[int], list[int], list[str]]:
+    """The well-formed edge rows of ``path`` with their ids interned, as
+    ``(codes, lines, pairs, warnings)``: ``codes`` maps each id to its
+    code in first-seen order, and row ``k`` starts on line ``lines[k]``
+    with (citing, cited) codes ``pairs[2k]``, ``pairs[2k + 1]``."""
     reader = _RowReader(path, strict, ["citing_id", "cited_id"])
-    edges: list[tuple[int, str, str]] = []
+    codes, lines, pairs = {}, [], []
     for lineno, row in reader:
         if len(row) != 2 or not row[0] or not row[1]:
             reader.complain(lineno, f"malformed edge row {row!r}")
             continue
-        edges.append((lineno, row[0], row[1]))
-    return edges, reader.warnings
+        lines.append(lineno)
+        pairs += (codes.setdefault(row[0], len(codes)), codes.setdefault(row[1], len(codes)))
+    return codes, lines, pairs, reader.warnings
 
 
 def read_edges(path: Path, strict: bool = False) -> tuple[list[tuple[str, str]], list[str]]:
-    rows, warnings = _read_edges_with_lines(path, strict)
-    return [(citing, cited) for _, citing, cited in rows], warnings
+    """The (citing, cited) pairs of the well-formed rows of an edges file."""
+    codes, _, pairs, warnings = _read_edges_with_lines(path, strict)
+    ids = list(codes)
+    return [(ids[u], ids[v]) for u, v in zip(pairs[::2], pairs[1::2])], warnings
 
 
 def read_docs(path: Path, strict: bool = False) -> tuple[list[DocumentRecord], list[str]]:
@@ -267,43 +275,41 @@ def load_corpus(
     """
     if edges is None and docs is None:
         raise DataError("no input files given")
-    edge_rows, warnings = _read_edges_with_lines(edges, strict) if edges is not None else ([], [])
+    codes, lines, pairs, warnings = (
+        _read_edges_with_lines(edges, strict) if edges is not None else ({}, [], [], [])
+    )
     doc_rows, notes = read_docs(docs, strict) if docs is not None else ([], [])
     warnings += notes
-    # One pass applies the edge-row policy. Dangling notes come before
-    # self-loop notes, and in strict mode the first dangling row wins
-    # over an earlier self-loop.
-    known = {d.id for d in doc_rows} if docs is not None else None
-    loops: list[str] = []
-    pairs: list[tuple[str, str]] = []
-    for lineno, citing, cited in edge_rows:
-        if known is not None and (citing not in known or cited not in known):
-            dangling = [x for x in (citing, cited) if x not in known]
-            note = (
-                f"{edges}:{lineno}: edge ({citing},{cited}) references "
-                f"unknown document id(s) {', '.join(dangling)}"
-            )
-            if strict:
-                raise DataError(note)
-            warnings.append(note)
-        if citing == cited:
-            loops.append(f"{edges}:{lineno}: self-loop on {citing!r} skipped")
-            continue
-        pairs.append((citing, cited))
-    if strict and loops:
-        raise DataError(loops[0])
-    warnings.extend(loops)
-    return CorpusBundle(build_graph(pairs, doc_rows), warnings)
+    if pairs:  # an edgeless corpus builds no arrays
+        ids = list(codes)
+        pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        known = np.full(len(ids), docs is None)
+        known[[codes[d.id] for d in doc_rows if d.id in codes]] = True
+        # Dangling notes come before self-loop notes, so in strict mode
+        # the first dangling row wins over an earlier self-loop.
+        dangling = np.flatnonzero(~known[pairs].all(axis=1)).tolist()
+        loops = np.flatnonzero(pairs[:, 0] == pairs[:, 1]).tolist()
+        notes = [
+            f"{edges}:{lines[k]}: edge ({ids[u]},{ids[v]}) references unknown document "
+            f"id(s) {', '.join(ids[x] for x in (u, v) if not known[x])}"
+            for k, (u, v) in zip(dangling, pairs[dangling].tolist())
+        ]
+        notes += [f"{edges}:{lines[k]}: self-loop on {ids[pairs[k, 0]]!r} skipped" for k in loops]
+        if strict and notes:
+            raise DataError(notes[0])
+        warnings += notes
+        pairs = np.delete(pairs, loops, axis=0)
+    return CorpusBundle(build_graph(_InternedEdges(codes, pairs), doc_rows), warnings)
 
 
 def write_edges(graph: CitationGraph, path: Path) -> None:
     """Write the edge list, one row per citation instance, sorted."""
+    src, dst, mult = graph.edge_arrays()
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["citing_id", "cited_id"])
-        for citing, cited, mult in graph.edges:
-            for _ in range(mult):
-                writer.writerow([citing, cited])
+        rows = zip(np.repeat(src, mult).tolist(), np.repeat(dst, mult).tolist())
+        writer.writerows((graph.nodes[u], graph.nodes[v]) for u, v in rows)
 
 
 def write_docs(graph: CitationGraph, path: Path) -> None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
@@ -94,23 +94,66 @@ class TimeWindow:
         return self.source_years[0] <= year <= self.source_years[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class CitationGraph:
     """Directed document-level citation graph.
 
-    ``edges`` stores one entry per distinct (citing, cited) pair with its
-    multiplicity; parallel citations are kept as multiplicity rather than
-    deduplicated. Node and edge orderings are sorted, so two graphs built
-    from permutations of the same input compare equal.
+    The edges are three int64 arrays over ``nodes``: document ``src[k]``
+    cites document ``dst[k]`` ``mult[k]`` times. There is one entry per
+    distinct (citing, cited) pair, so parallel citations are kept as
+    multiplicity, and entries are sorted by (src, dst). ``nodes`` is
+    sorted, so two graphs built from permutations of the same input
+    compare equal. A graph without edges holds ``None`` for the arrays
+    and never imports numpy on its own.
+
+    ``edges`` lists the same entries as (citing, cited, multiplicity)
+    string tuples, derived from the arrays on first read.
+    ``CitationGraph(nodes, edges, metadata)`` builds the arrays from
+    such tuples, in the order given; ``build_graph`` is the usual way
+    to make a graph.
     """
 
     nodes: tuple[str, ...]
-    edges: tuple[tuple[str, str, int], ...]
-    metadata: Mapping[str, DocumentRecord] = field(default_factory=dict)
+    src: np.ndarray | None
+    dst: np.ndarray | None
+    mult: np.ndarray | None
+    metadata: Mapping[str, DocumentRecord]
+
+    def __init__(
+        self,
+        nodes: Iterable[str],
+        edges: Iterable[tuple[str, str, int]] = (),
+        metadata: Mapping[str, DocumentRecord] | None = None,
+    ) -> None:
+        object.__setattr__(self, "nodes", tuple(nodes))
+        index = self._node_index
+        self._set_edges(metadata, *zip(*((index[u], index[v], m) for u, v, m in edges)))
+
+    def _set_edges(self, metadata: Mapping[str, DocumentRecord] | None, *arrays) -> None:
+        """Set ``metadata`` and, given (src, dst, mult) int sequences, the arrays."""
+        arrays = [np.array(a, dtype=np.int64) for a in arrays] or [None] * 3
+        values = ({} if metadata is None else metadata, *arrays)
+        for name, value in zip(("metadata", "src", "dst", "mult"), values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CitationGraph):
+            return NotImplemented
+        pairs = zip(self.edge_arrays(), other.edge_arrays())
+        same = all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in pairs)
+        return same and (self.nodes, self.metadata) == (other.nodes, other.metadata)
 
     @cached_property
     def _node_index(self) -> dict[str, int]:
         return {node: i for i, node in enumerate(self.nodes)}
+
+    @cached_property
+    def edges(self) -> tuple[tuple[str, str, int], ...]:
+        """(citing, cited, multiplicity) per distinct pair, in array order."""
+        if self.mult is None:
+            return ()
+        names = np.array(self.nodes, dtype=object)
+        return tuple(zip(names[self.src].tolist(), names[self.dst].tolist(), self.mult.tolist()))
 
     @property
     def n_nodes(self) -> int:
@@ -119,7 +162,7 @@ class CitationGraph:
     @property
     def n_edges(self) -> int:
         """Total edge multiplicity (number of citation instances)."""
-        return sum(mult for _, _, mult in self.edges)
+        return 0 if self.mult is None else int(self.mult.sum())
 
     def __contains__(self, node: str) -> bool:
         return node in self._node_index
@@ -148,21 +191,11 @@ class CitationGraph:
         )
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Edges as (source index, target index, multiplicity) arrays.
-
-        Index order follows ``nodes``; array order follows the sorted
-        ``edges`` tuple, so downstream accumulations have a fixed
-        reduction order.
-        """
-        return self._edge_arrays
-
-    @cached_property
-    def _edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        idx = self._node_index
-        src = np.fromiter((idx[u] for u, _, _ in self.edges), dtype=np.int64, count=len(self.edges))
-        dst = np.fromiter((idx[v] for _, v, _ in self.edges), dtype=np.int64, count=len(self.edges))
-        mult = np.fromiter((m for _, _, m in self.edges), dtype=np.int64, count=len(self.edges))
-        return src, dst, mult
+        """The (src, dst, mult) arrays; empty int64 arrays for a graph
+        without edges."""
+        if self.mult is None:
+            return (np.zeros(0, dtype=np.int64),) * 3
+        return self.src, self.dst, self.mult
 
     def journals(self) -> tuple[str, ...]:
         """Distinct venues appearing in document metadata, sorted."""
@@ -230,6 +263,16 @@ class CitationGraph:
         return {name: tuple(docs) for name, docs in index.items()}
 
 
+@dataclass(frozen=True)
+class _InternedEdges:
+    """Edge rows that ``load_corpus`` has already interned and checked:
+    ``pairs`` holds (citing, cited) codes into ``codes``, as a (k, 2) int
+    array with no self-loops, or an empty list."""
+
+    codes: dict[str, int]
+    pairs: np.ndarray | list[int]
+
+
 def build_graph(
     edge_list: Iterable[tuple[str, str]],
     docs: Sequence[DocumentRecord] | None = None,
@@ -241,37 +284,43 @@ def build_graph(
     unless ``allow_self_loops`` is set. Nodes are the union of edge
     endpoints and document ids; an empty edge list is accepted.
     """
-    codes: dict[str, int] = {}
-    coded: list[int] = []  # citing, cited, citing, ... in first-seen id codes
-    for citing, cited in edge_list:
-        if not citing or not cited:
-            raise DataError(f"edge ({citing!r}, {cited!r}) has an empty endpoint")
-        if citing == cited and not allow_self_loops:
-            raise DataError(f"self-loop on {citing!r} (pass allow_self_loops=True to keep)")
-        coded += (codes.setdefault(citing, len(codes)), codes.setdefault(cited, len(codes)))
+    if isinstance(edge_list, _InternedEdges):  # load_corpus's rows skip the checks below
+        codes, pairs = dict(edge_list.codes), edge_list.pairs
+    else:
+        codes, pairs = {}, []  # pairs: citing, cited, citing, ... in first-seen id codes
+        for citing, cited in edge_list:
+            if not citing or not cited:
+                raise DataError(f"edge ({citing!r}, {cited!r}) has an empty endpoint")
+            if citing == cited and not allow_self_loops:
+                raise DataError(f"self-loop on {citing!r} (pass allow_self_loops=True to keep)")
+            pairs += (codes.setdefault(citing, len(codes)), codes.setdefault(cited, len(codes)))
 
     metadata: dict[str, DocumentRecord] = {}
+    doc_codes: list[int] = []
     for doc in docs or ():
         if doc.id in metadata:
             raise DataError(f"duplicate document id {doc.id!r}")
         metadata[doc.id] = doc
-        codes.setdefault(doc.id, len(codes))
-    if not coded:  # a docs-only graph needs no arrays
-        return CitationGraph(nodes=tuple(sorted(codes)), edges=(), metadata=metadata)
+        doc_codes.append(codes.setdefault(doc.id, len(codes)))
+    if not len(pairs):  # a docs-only graph needs no arrays
+        return CitationGraph(sorted(metadata), metadata=metadata)
 
-    # Only the distinct ids are sorted; rank renumbers the codes into that
-    # order, so the pair keys sort exactly as the (citing, cited) strings.
+    # Only the ids in use are sorted (load_corpus interns the ids of rows it
+    # then skips); rank renumbers their codes into that order, so the pair
+    # keys sort exactly as the (citing, cited) strings.
     ids = list(codes)
-    order = sorted(range(len(ids)), key=ids.__getitem__)
-    nodes = tuple(map(ids.__getitem__, order))
-    n = len(nodes)
-    rank = np.argsort(order)
-    src, dst = rank[np.array(coded, dtype=np.int64).reshape(-1, 2)].T
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    used = np.zeros(len(ids), dtype=bool)
+    used[pairs] = used[doc_codes] = True
+    order = sorted(np.flatnonzero(used).tolist(), key=ids.__getitem__)
+    n = len(order)
+    rank = np.zeros(len(ids), dtype=np.int64)
+    rank[order] = np.arange(n)
+    src, dst = rank[pairs].T
     keys, mult = np.unique(src * n + dst, return_counts=True)
-    citing_of, cited_of = divmod(keys, max(n, 1))
-    names = np.array(nodes, dtype=object)
-    edges = tuple(zip(names[citing_of].tolist(), names[cited_of].tolist(), mult.tolist()))
-    return CitationGraph(nodes=nodes, edges=edges, metadata=metadata)
+    graph = CitationGraph(map(ids.__getitem__, order))
+    graph._set_edges(metadata, *divmod(keys, n), mult)
+    return graph
 
 
 @dataclass(frozen=True, eq=False)

@@ -318,6 +318,7 @@ class TestRoundTrip:
         )
         path = tmp_path / "edges.csv"
         write_edges(graph, path)
+        assert path.read_text() == "citing_id,cited_id\na,b\na,b\nb,c\nc,a\nzz,a\n"
         edges, warnings = read_edges(path)
         assert warnings == []
         assert build_graph(edges) == graph

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from citenet import (
+    CitationGraph,
     DataError,
     DocType,
     DocumentRecord,
@@ -89,6 +90,27 @@ class TestBuildGraph:
             shuffled = edges[:]
             rng.shuffle(shuffled)
             assert build_graph(shuffled) == g1
+
+
+class TestArrayForm:
+    """The graph is its (src, dst, mult) arrays; ``edges`` is derived."""
+
+    def test_edges_are_derived_from_the_arrays(self):
+        g = build_graph([("b", "a"), ("a", "c"), ("b", "a")])
+        assert g.nodes == ("a", "b", "c")
+        assert [a.tolist() for a in (g.src, g.dst, g.mult)] == [[0, 1], [2, 0], [1, 2]]
+        assert all(a.dtype == np.int64 for a in g.edge_arrays())
+        assert g.edges == (("a", "c", 1), ("b", "a", 2))
+        assert g.n_edges == 3
+
+    def test_edge_tuples_build_the_same_graph(self):
+        docs = [DocumentRecord("a", "J", 2000), DocumentRecord("d", "K", 2001)]
+        g = build_graph([("b", "a"), ("a", "c"), ("b", "a")], docs)
+        assert CitationGraph(nodes=g.nodes, edges=g.edges, metadata=g.metadata) == g
+        assert CitationGraph(nodes=g.nodes, metadata=g.metadata) != g
+        assert CitationGraph(nodes=g.nodes, edges=[("a", "c", 1), ("b", "a", 3)],
+                             metadata=g.metadata) != g
+        assert CitationGraph(()) == build_graph([]) and CitationGraph(()).n_edges == 0
 
 
 class TestDocsOnlyGraph:

@@ -8,14 +8,16 @@ draws the same cases.
 import csv
 import random
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from citenet import DocType, DocumentRecord, build_graph, load_corpus
+from citenet import DataError, DocType, DocumentRecord, build_graph, load_corpus
 from citenet.cli import main
+from citenet.formats import read_docs
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -47,6 +49,17 @@ def corpora(draw):
     return rows, docs, draw(st.integers(0, 2**32 - 1))
 
 
+@st.composite
+def linked_corpora(draw):
+    """A corpus from ``corpora()`` plus edges between its documents, so
+    that the journal commands count citations."""
+    rows, docs, seed = draw(corpora())
+    if docs:
+        linked = st.sampled_from([d.id for d in docs])
+        rows += [(u, v) for u, v in draw(st.lists(st.tuples(linked, linked), max_size=30)) if u != v]
+    return rows, docs, seed
+
+
 def shuffled(items, rng):
     items = list(items)
     rng.shuffle(items)
@@ -68,17 +81,27 @@ def write_corpus(directory: Path, rows, docs) -> tuple[Path, Path]:
     return edges_path, docs_path
 
 
-def reports(rows, docs) -> dict[str, bytes]:
-    """Report files of ``pagerank`` and ``total-cites`` on a written corpus."""
+def reports(rows, docs) -> dict[str, tuple[int, dict[str, bytes]]]:
+    """Exit code and report files of each graph command on a written corpus."""
+    window = ["--cite-year", "2002"]
+    commands = {
+        "pagerank": ["pagerank", "--json"],
+        "hits": ["hits"],
+        "total-cites": ["total-cites", *window],
+        "impact-factor": ["impact-factor", *window],
+        "bradford": ["bradford", *window, "--zones", "2"],
+    }
+    results = {}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         edges_path, docs_path = write_corpus(tmp, rows, docs)
         corpus = ["--edges", str(edges_path), "--docs", str(docs_path)]
-        out = tmp / "out"
-        assert main(["pagerank", *corpus, "--out-dir", str(out), "--json"]) == 0
-        code = main(["total-cites", *corpus, "--cite-year", "2002", "--out-dir", str(out)])
-        assert code == 0
-        return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+        for label, argv in commands.items():
+            out = tmp / label
+            code = main([*argv, *corpus, "--out-dir", str(out)])
+            files = sorted(out.iterdir()) if out.exists() else []
+            results[label] = code, {path.name: path.read_bytes() for path in files}
+    return results
 
 
 @PROPERTY
@@ -95,10 +118,9 @@ def test_permuted_rows_give_the_same_graph(corpus):
 
 
 @settings(PROPERTY, max_examples=30)
-@given(corpora())
+@given(linked_corpora())
 def test_permuted_rows_give_byte_identical_reports(corpus):
     rows, docs, seed = corpus
-    assume(rows or docs)  # pagerank rejects an empty graph
     rng = random.Random(seed)
     assert reports(rows, docs) == reports(shuffled(rows, rng), shuffled(docs, rng))
 
@@ -139,3 +161,108 @@ def test_n_edges_counts_the_clean_rows(rows):
     clean = [(u, v) for u, v in rows if u != v]
     assert bundle.graph.n_edges == len(clean)
     assert len(bundle.warnings) == len(rows) - len(clean)
+
+
+# Edge-file ids: short ids and ids that the writer quotes, one of them
+# across two lines.
+names = st.one_of(ids, st.sampled_from(["a\nb", 'q"t', "c,d"]))
+malformed_rows = st.one_of(
+    st.sampled_from([[], [""]]),  # blank rows, skipped without a note
+    st.lists(names, min_size=1, max_size=1),
+    st.lists(names, min_size=3, max_size=3),
+    st.tuples(st.just(""), names).map(list),
+    st.tuples(names, st.just("")).map(list),
+)
+
+
+@st.composite
+def edge_files(draw):
+    """(raw edge rows, document records or None), with duplicate,
+    self-loop, malformed and blank rows; the documents cover all, some
+    or none of the edge endpoints."""
+    rows = draw(st.lists(st.tuples(names, names).map(list), max_size=25))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=5))
+    if draw(st.booleans()):
+        rows += draw(st.lists(malformed_rows, max_size=2))
+    rows = draw(st.permutations(rows))
+    endpoints = sorted({x for row in rows if len(row) == 2 for x in row if x})
+    cover = draw(st.sampled_from(["none", "all", "some"]))
+    if cover == "none":
+        return rows, None
+    if cover == "some":
+        endpoints = draw(st.lists(st.sampled_from(endpoints or ["a"]), unique=True))
+    return rows, [DocumentRecord(doc_id, "J", 2000) for doc_id in endpoints]
+
+
+def reference_load(edges_path, docs_path, strict):
+    """The edge-row policy as one loop over string ids, counted with a
+    Counter: (nodes, edges, warnings)."""
+    warnings = []
+
+    def complain(note):
+        if strict:
+            raise DataError(note)
+        warnings.append(note)
+
+    rows = []
+    with open(edges_path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        lineno = reader.line_num + 1  # the physical line a record starts on
+        for row in reader:
+            if len(row) == 2 and row[0] and row[1]:
+                rows.append((lineno, *row))
+            elif any(row):
+                complain(f"{edges_path}:{lineno}: malformed edge row {row!r}")
+            lineno = reader.line_num + 1
+    docs, notes = read_docs(docs_path, strict) if docs_path is not None else ([], [])
+    warnings += notes
+    known = {d.id for d in docs} if docs_path is not None else None
+    loops, counts = [], Counter()
+    for lineno, citing, cited in rows:
+        if known is not None and (citing not in known or cited not in known):
+            dangling = ", ".join(x for x in (citing, cited) if x not in known)
+            complain(f"{edges_path}:{lineno}: edge ({citing},{cited}) references "
+                     f"unknown document id(s) {dangling}")
+        if citing == cited:
+            loops.append(f"{edges_path}:{lineno}: self-loop on {citing!r} skipped")
+        else:
+            counts[citing, cited] += 1
+    if strict and loops:
+        raise DataError(loops[0])
+    nodes = tuple(sorted({*(d.id for d in docs), *(x for pair in counts for x in pair)}))
+    edges = tuple(sorted((u, v, m) for (u, v), m in counts.items()))
+    return nodes, edges, warnings + loops
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DataError as exc:
+        return "DataError", str(exc)
+
+
+@settings(PROPERTY, max_examples=150)
+@given(edge_files())
+@example(([["b", "b"], ["a", "ghost"], ["ghost", "ghost"]], [DocumentRecord(d, "J", 2000) for d in "ab"]))
+def test_load_corpus_matches_the_string_policy_loop(corpus):
+    rows, docs = corpus
+    with tempfile.TemporaryDirectory() as tmp:
+        edges_path, docs_path = write_corpus(Path(tmp), rows, docs or [])
+        docs_path = docs_path if docs is not None else None
+        for strict in (False, True):
+            want = outcome(reference_load, edges_path, docs_path, strict)
+            got = outcome(load_corpus, edges_path, docs_path, strict)
+            if want[0] == "DataError":
+                assert got == want
+                continue
+            nodes, edges, warnings = want
+            graph = got.graph
+            assert (graph.nodes, graph.edges, got.warnings) == (nodes, edges, warnings)
+            index = {node: i for i, node in enumerate(nodes)}
+            columns = ([index[u] for u, _, _ in edges], [index[v] for _, v, _ in edges],
+                       [m for _, _, m in edges])
+            for array, column in zip(graph.edge_arrays(), columns):
+                assert array.dtype == np.int64 and array.tolist() == column
+            assert graph.n_edges == sum(columns[2])
