@@ -66,9 +66,6 @@ class BradfordPartition:
     def journal_counts(self) -> tuple[int, ...]:
         return tuple(z.journal_count for z in self.zones)
 
-    def item_counts(self) -> tuple[int, ...]:
-        return tuple(z.item_count for z in self.zones)
-
 
 @dataclass(frozen=True)
 class ShareCurve:
@@ -119,36 +116,25 @@ def bradford_partition(
         if cut_targets != sorted(cut_targets) or cut_targets[-1] > total:
             raise DataError("targets must be increasing and at most the total")
 
-    zones: list[BradfordZone] = []
-    zone_members: list[str] = []
-    zone_items = 0
+    # cuts[i] is the rank position where zone i starts. A zone closes before
+    # the journal that must open the next one (one journal is left for each
+    # zone still to open), or once its cumulative target is reached, after
+    # or before the boundary journal, whichever lands nearer the target.
+    cuts = [0]
     cum = 0
-    pos = 0
-    for name, count in ranked.items:
-        remaining_zones = k - len(zones)
-        remaining_journals = n - pos
-        if remaining_zones > 1 and zone_members and remaining_journals == remaining_zones - 1:
-            # Leave one journal for each zone still to open.
-            zones.append(BradfordZone(tuple(zone_members), zone_items))
-            zone_members, zone_items = [], 0
-        target = cut_targets[len(zones)] if len(zones) < k - 1 else None
-        if target is not None and zone_members and cum + count >= target:
-            include = (cum + count) - target <= target - cum
-            if include:
-                zone_members.append(name)
-                zone_items += count
-                cum += count
-                pos += 1
-                zones.append(BradfordZone(tuple(zone_members), zone_items))
-                zone_members, zone_items = [], 0
-                continue
-            zones.append(BradfordZone(tuple(zone_members), zone_items))
-            zone_members, zone_items = [], 0
-        zone_members.append(name)
-        zone_items += count
+    for pos, (_, count) in enumerate(ranked.items):
+        if cuts[-1] < pos and len(cuts) < k:
+            target = cut_targets[len(cuts) - 1]
+            if n - pos == k - len(cuts):
+                cuts.append(pos)
+            elif cum + count >= target:
+                cuts.append(pos + 1 if (cum + count) - target <= target - cum else pos)
         cum += count
-        pos += 1
-    zones.append(BradfordZone(tuple(zone_members), zone_items))
+    cuts.append(n)
+    zones = [
+        BradfordZone(tuple(name for name, _ in zone), sum(count for _, count in zone))
+        for zone in (ranked.items[a:b] for a, b in zip(cuts, cuts[1:]))
+    ]
 
     sizes = [z.journal_count for z in zones]
     ratios = [sizes[i + 1] / sizes[i] for i in range(len(sizes) - 1)]

@@ -72,11 +72,6 @@ def _csv_records(path: Path) -> Iterator[tuple[int, list[str]]]:
         raise DataError(f"{path}:{reader.line_num}: {exc}") from None
 
 
-def read_csv_rows(path: Path) -> list[list[str]]:
-    """All rows of a UTF-8 CSV file (see :func:`_csv_records`)."""
-    return [row for _, row in _csv_records(path)]
-
-
 class _RowReader:
     """One pass over the non-blank rows after the header, with the line
     each starts on; checks the header when ``expected_header`` is given."""

@@ -12,11 +12,11 @@ readers may query them concurrently.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import compress
 
 from ._numpy import np
 from .errors import DataError
@@ -163,9 +163,6 @@ class CitationGraph:
     def n_edges(self) -> int:
         """Total edge multiplicity (number of citation instances)."""
         return 0 if self.mult is None else int(self.mult.sum())
-
-    def __contains__(self, node: str) -> bool:
-        return node in self._node_index
 
     def in_degree(self, node: str) -> int:
         """Number of citations received by ``node`` (inlinks, with multiplicity)."""
@@ -375,12 +372,6 @@ class JournalCitationMatrix:
     def n_journals(self) -> int:
         return len(self.journals)
 
-    def index(self, journal: str) -> int:
-        try:
-            return self.journals.index(journal)
-        except ValueError:
-            raise DataError(f"unknown journal {journal!r}") from None
-
     def reference_totals(self) -> np.ndarray:
         """References given per journal (row sums)."""
         return self.counts.sum(axis=1)
@@ -440,50 +431,48 @@ def aggregate_to_journal_matrix(
     zero source-year publications are dropped (reported in ``dropped``),
     and references touching a dropped journal are excluded with them.
 
-    Raises :class:`DataError` when an in-window reference points at a
-    document without usable metadata (no record, or no venue).
+    Raises :class:`DataError` when a document inside the window has no
+    venue (the first in ``nodes`` order is named), or when an in-window
+    reference points at a document without a record (named by the first
+    such edge in (citing, cited) order).
     """
-    meta = graph.metadata
-
-    pubs: Counter[str] = Counter()
-    universe: set[str] = set()
-    for doc in meta.values():
-        in_source = window.covers_source(doc.year)
-        if (in_source or doc.year == window.cite_year) and not doc.venue:
-            raise DataError(f"document {doc.id!r} is inside the window but has no venue")
-        if doc.venue and (in_source or doc.year == window.cite_year):
-            universe.add(doc.venue)
-        if in_source and doc.venue:
-            pubs[doc.venue] += 1
-
-    journals = tuple(sorted(j for j in universe if pubs[j] > 0))
-    dropped = tuple(sorted(universe - set(journals)))
-    index = {j: i for i, j in enumerate(journals)}
+    journal, year, _ = graph.node_columns()
+    first, last = window.source_years
+    dated = year > 0  # nodes without a record carry year 0
+    in_source = dated & (year >= first) & (year <= last)
+    citing = dated & (year == window.cite_year)
+    no_venue = np.flatnonzero((in_source | citing) & (journal < 0))
+    if no_venue.size:
+        doc_id = graph.nodes[no_venue[0]]
+        raise DataError(f"document {doc_id!r} is inside the window but has no venue")
+    names = graph.journals()
+    pubs = np.bincount(journal[in_source], minlength=len(names))
+    kept = pubs > 0
+    seen = np.bincount(journal[in_source | citing], minlength=len(names)) > 0
+    journals = tuple(compress(names, kept.tolist()))
+    dropped = tuple(compress(names, (seen & ~kept).tolist()))
 
     src, dst, mult = graph.edge_arrays()
-    journal, year, _ = graph.node_columns()
-    # Nodes without a record carry year 0; a cite year below 1 matches no citing document.
-    live = (year[src] == window.cite_year) & (window.cite_year > 0)
+    live = citing[src]
     missing = np.flatnonzero(live & (year[dst] == 0))
     if missing.size:
         cited = graph.nodes[dst[missing[0]]]
         raise DataError(f"document {cited!r} is cited from inside the window but has no metadata")
-    first, last = window.source_years
-    live &= (year[dst] >= first) & (year[dst] <= last)
+    live &= in_source[dst]
     # Graph journal code -> matrix row, -1 for a journal the matrix drops.
-    # Both ends of a live edge have a venue: the loop above checked it.
-    row = np.array([index.get(j, -1) for j in graph.journals()], dtype=np.int64)
+    # Both ends of a live edge have a venue: the check above made sure.
+    row = np.where(kept, np.cumsum(kept) - 1, -1)
     i, j = row[journal[src[live]]], row[journal[dst[live]]]
-    kept = (i >= 0) & (j >= 0)
+    both = (i >= 0) & (j >= 0)
     n = len(journals)
     counts = np.bincount(
-        i[kept] * n + j[kept], weights=mult[live][kept], minlength=n * n
+        i[both] * n + j[both], weights=mult[live][both], minlength=n * n
     ).astype(np.int64).reshape(n, n)
 
     return JournalCitationMatrix(
         journals=journals,
         counts=counts,
-        pubs=np.array([pubs[j] for j in journals], dtype=np.int64),
+        pubs=pubs[kept],
         window=window,
         dropped=dropped,
     )

@@ -9,7 +9,7 @@ from typing import NamedTuple
 
 from ._numpy import np
 from .errors import DataError, UndefinedMetricError
-from .graph import CitationGraph, DocType, JournalCitationMatrix, TimeWindow
+from .graph import CitationGraph, DocType, TimeWindow
 from .graph import normalize_author as normalize_author  # re-exported
 
 
@@ -53,26 +53,13 @@ class ProfileSummary(NamedTuple):
     total_cites: int
 
 
-def total_cites(
-    source: CitationGraph | JournalCitationMatrix,
-    journal: str,
-    window: TimeWindow | None = None,
-) -> int:
-    """Raw citations received by ``journal``.
-
-    From a graph: references made in ``window.cite_year`` to the
-    journal's documents, with no cap on the cited item's age (this is
-    the annual cited count, so old classics keep contributing). From a
-    matrix: the journal's column sum, under whatever window the matrix
-    was aggregated with (``window`` is not consulted).
-    """
-    if isinstance(source, JournalCitationMatrix):
-        return int(source.citation_totals()[source.index(journal)])
-
-    if window is None:
-        raise DataError("total_cites from a graph needs a window (its cite_year is used)")
-    code = source.journal_index(journal)
-    return int(_cite_counts(source, window.cite_year)[code])
+def total_cites(graph: CitationGraph, journal: str, window: TimeWindow) -> int:
+    """Raw citations received by ``journal``: references made in
+    ``window.cite_year`` to the journal's documents, with no cap on the
+    cited item's age (this is the annual cited count, so old classics
+    keep contributing)."""
+    code = graph.journal_index(journal)
+    return int(_cite_counts(graph, window.cite_year)[code])
 
 
 def impact_factor(inp: ImpactFactorInput) -> float:
@@ -225,15 +212,3 @@ def journal_reference_counts(graph: CitationGraph, year: int) -> dict[str, int]:
     journal, years, _ = graph.node_columns()
     return _as_dict(graph, _per_journal(graph, journal[src], _dated(years, year)[src], mult))
 
-
-def profile_from_graph(graph: CitationGraph, author: str) -> CitationProfile:
-    """Citation profile of an author from graph in-degrees.
-
-    A closed-corpus variant of the externally supplied counts: each
-    publication's count is its in-degree in the graph. Name matching is
-    exact after whitespace/case normalization.
-    """
-    counts = [graph.in_degree(doc.id) for doc in graph.docs_by_author(author)]
-    if not counts:
-        raise DataError(f"no documents authored by {author!r}")
-    return CitationProfile(tuple(counts))

@@ -105,15 +105,6 @@ class ScoreVector:
     def __getitem__(self, key: str) -> float:
         return self.values[key]
 
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self.values
-
-    def ids(self) -> tuple[str, ...]:
-        return tuple(self.values)
-
     def ranked(self) -> list[tuple[str, float]]:
         """(id, score) pairs, best first; ties broken by id ascending."""
         return sorted(self.values.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -269,29 +260,12 @@ def influence_weights(
     return _scores(matrix.journals, normalize(w), *trace)
 
 
-def influence_per_publication(
-    matrix: JournalCitationMatrix, weights: ScoreVector
-) -> ScoreVector:
-    """Weighted citations received per published item.
-
-    I_j = (sum_i weights_i * C[i][j]) / pubs_j, using the influence
-    weights of the citing journals. ``weights`` must cover exactly the
-    matrix's journals.
-    """
-    if set(weights.ids()) != set(matrix.journals):
-        raise DataError("weights do not match the matrix's journal set")
-    w = np.array([weights[j] for j in matrix.journals])
-    per_pub = _weighted_received(matrix)(w) / matrix.pubs
-    return ScoreVector(values=dict(zip(matrix.journals, per_pub.tolist())))
-
-
 def total_influence(per_publication: ScoreVector, pubs: Mapping[str, int]) -> ScoreVector:
     """Influence per publication times the number of publications."""
-    if set(per_publication.ids()) != set(pubs):
+    values = per_publication.values
+    if set(values) != set(pubs):
         raise DataError("per-publication scores and publication counts have different keys")
-    return ScoreVector(
-        values={j: per_publication[j] * pubs[j] for j in per_publication.ids()}
-    )
+    return ScoreVector(values={j: value * pubs[j] for j, value in values.items()})
 
 
 def influence_metrics(
@@ -300,9 +274,15 @@ def influence_metrics(
     max_iter: int = 1000,
     normalization: str = "reference_mean",
 ) -> InfluenceResult:
-    """All three influence measures (weight, per publication, total)."""
+    """All three influence measures (weight, per publication, total).
+
+    The influence per publication of journal j is
+    I_j = (sum_i w_i * C[i][j]) / pubs_j, with the weights w of the
+    citing journals; the total influence is I_j times pubs_j.
+    """
     weights = influence_weights(matrix, tol=tol, max_iter=max_iter, normalization=normalization)
-    per_pub = influence_per_publication(matrix, weights)
+    w = np.array([weights[j] for j in matrix.journals])
+    per_pub = _scores(matrix.journals, _weighted_received(matrix)(w) / matrix.pubs)
     pubs = dict(zip(matrix.journals, matrix.pubs.tolist()))
     return InfluenceResult(
         weights=weights,

@@ -90,10 +90,6 @@ class StudyTable:
             if len(row) != len(self.columns):
                 raise DataError(f"row {row!r} does not match the column count")
 
-    def column(self, name: str) -> list[Cell]:
-        i = self.columns.index(name)
-        return [row[i] for row in self.rows]
-
     def row_for(self, subject: str) -> tuple[Cell, ...]:
         for row in self.rows:
             if row[0] == subject:
@@ -393,16 +389,10 @@ def authorship_table(
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """Ranks 1..n with ties given the average of their positions."""
-    order = np.lexsort((values,))
-    ranks = np.empty(len(values), dtype=np.float64)
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    _, group, sizes = np.unique(values, return_inverse=True, return_counts=True)
+    end = np.cumsum(sizes)
+    start = end - sizes + 1
+    return ((start + end) / 2.0)[group]
 
 
 def rank_correlation(

@@ -242,6 +242,25 @@ class TestExitCodes:
             "matrix": f"citenet: error: {path}:3: Python int too large to convert to C long\n",
         }[kind]
 
+    def test_unknown_author_is_named(self, capsys):
+        code = main(["study", "sample", "--docs", str(DATA / "laureates_authors" / "docs.csv"),
+                     "--author", "Nobody"])
+        assert code == 2
+        assert capsys.readouterr().err == "citenet: error: no documents authored by 'Nobody'\n"
+
+    @pytest.mark.parametrize("venueless", [("x", "y"), ("y", "x")])
+    def test_first_venueless_document_in_id_order_is_named(self, venueless, tmp_path, capsys):
+        edges, docs = tmp_path / "edges.csv", tmp_path / "docs.csv"
+        edges.write_text("citing_id,cited_id\na,b\n")
+        docs.write_text("id,venue,year,doc_type,cites,authors\na,J,2005,,,\n"
+                        + "".join(f"{doc},,2004,,,\n" for doc in venueless))
+        code = main(["influence", "--edges", str(edges), "--docs", str(docs),
+                     "--cite-year", "2005"])
+        assert code == 2
+        assert capsys.readouterr().err.endswith(
+            "citenet: error: document 'x' is inside the window but has no venue\n"
+        )
+
     def test_data_error_zero_variance_correlation(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"
         path.write_text("x,y\n1,5\n2,5\n3,5\n")

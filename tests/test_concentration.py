@@ -1,10 +1,15 @@
 """Bradford partitioning and concentration statistics."""
 
+import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from citenet import (
+    BradfordPartition,
+    BradfordZone,
     DataError,
     RankedCounts,
     bradford_partition,
@@ -59,7 +64,7 @@ class TestBradfordPartition:
         ranked = geophysics_style_counts()
         partition = bradford_partition(ranked, k=3, targets=[249, 748])
         assert partition.journal_counts() == (9, 59, 258)
-        assert partition.item_counts() == (249, 499, 404)
+        assert tuple(z.item_count for z in partition.zones) == (249, 499, 404)
         ratios = (59 / 9, 258 / 59)
         assert ratios[0] == pytest.approx(6.6, abs=0.1)
         assert ratios[1] == pytest.approx(4.4, abs=0.1)
@@ -85,7 +90,7 @@ class TestBradfordPartition:
             partition = bradford_partition(ranked, k=k)
             flattened = [j for zone in partition.zones for j in zone.journals]
             assert flattened == [name for name, _ in ranked.items]
-            assert sum(partition.item_counts()) == ranked.total
+            assert sum(z.item_count for z in partition.zones) == ranked.total
             assert all(z.journal_count >= 1 for z in partition.zones)
 
     def test_zipf_samples_stay_within_one_journal_of_target(self):
@@ -114,7 +119,7 @@ class TestBradfordPartition:
         ranked = RankedCounts.from_counts({"a": 90, "b": 5, "c": 3, "d": 2})
         partition = bradford_partition(ranked, k=4)
         assert partition.journal_counts() == (1, 1, 1, 1)
-        assert partition.item_counts() == (90, 5, 3, 2)
+        assert tuple(z.item_count for z in partition.zones) == (90, 5, 3, 2)
         assert partition.multiplier == pytest.approx(1.0)
 
     def test_explicit_targets_validation(self):
@@ -131,6 +136,101 @@ class TestBradfordPartition:
         ranked = RankedCounts.from_counts({"a": 5, "b": 3})
         with pytest.raises(DataError, match="exceeds journal count"):
             bradford_partition(ranked, k=3)
+
+
+def three_close_bradford_partition(ranked, k=3, targets=None):
+    """``bradford_partition`` as it was written before its zone-closing
+    step was folded into one list of cut positions; kept as the
+    reference."""
+    n = len(ranked)
+    total = ranked.total
+    if total <= 0:
+        raise DataError("cannot partition a distribution with zero total")
+    if k < 2:
+        raise DataError("need at least 2 zones")
+    if k > n:
+        raise DataError(f"zone count {k} exceeds journal count {n}")
+    if targets is None:
+        cut_targets = [i * total / k for i in range(1, k)]
+    else:
+        cut_targets = [float(t) for t in targets]
+        if len(cut_targets) != k - 1:
+            raise DataError(f"expected {k - 1} cumulative targets, got {len(cut_targets)}")
+        if cut_targets != sorted(cut_targets) or cut_targets[-1] > total:
+            raise DataError("targets must be increasing and at most the total")
+
+    zones = []
+    zone_members = []
+    zone_items = 0
+    cum = 0
+    pos = 0
+    for name, count in ranked.items:
+        remaining_zones = k - len(zones)
+        remaining_journals = n - pos
+        if remaining_zones > 1 and zone_members and remaining_journals == remaining_zones - 1:
+            zones.append(BradfordZone(tuple(zone_members), zone_items))
+            zone_members, zone_items = [], 0
+        target = cut_targets[len(zones)] if len(zones) < k - 1 else None
+        if target is not None and zone_members and cum + count >= target:
+            include = (cum + count) - target <= target - cum
+            if include:
+                zone_members.append(name)
+                zone_items += count
+                cum += count
+                pos += 1
+                zones.append(BradfordZone(tuple(zone_members), zone_items))
+                zone_members, zone_items = [], 0
+                continue
+            zones.append(BradfordZone(tuple(zone_members), zone_items))
+            zone_members, zone_items = [], 0
+        zone_members.append(name)
+        zone_items += count
+        cum += count
+        pos += 1
+    zones.append(BradfordZone(tuple(zone_members), zone_items))
+
+    sizes = [z.journal_count for z in zones]
+    ratios = [sizes[i + 1] / sizes[i] for i in range(len(sizes) - 1)]
+    multiplier = math.exp(sum(math.log(r) for r in ratios) / len(ratios))
+    return BradfordPartition(tuple(zones), multiplier)
+
+
+def outcome(partition, *args, **kwargs):
+    """The partition, or the type and message of the error it raised."""
+    try:
+        return partition(*args, **kwargs)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+@st.composite
+def bradford_inputs(draw):
+    """Ranked counts with many ties and zeros, a zone count from 2 to one
+    past the journal count, and no targets, sorted targets of the right
+    length, or targets of any order and a length off by up to one."""
+    counts = draw(st.lists(st.integers(0, 12) | st.sampled_from([0, 1, 50]), min_size=2,
+                           max_size=30))
+    ranked = RankedCounts.from_counts({f"j{i:02d}": c for i, c in enumerate(counts)})
+    k = draw(st.integers(2, len(counts) + 1))
+    target = st.integers(0, ranked.total + 1) | st.floats(0, ranked.total + 1)
+    targets = draw(
+        st.none()
+        | st.lists(target, min_size=k - 1, max_size=k - 1).map(sorted)
+        | st.lists(target, min_size=k - 2, max_size=k)
+    )
+    return ranked, k, targets
+
+
+class TestBradfordOracle:
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(bradford_inputs())
+    @example((RankedCounts.from_counts({"a": 4, "b": 0, "c": 0, "d": 0}), 3, [4, 4]))
+    @example((RankedCounts.from_counts({"a": 3, "b": 2, "c": 1}), 3, [6, 6]))
+    def test_matches_the_three_close_loop(self, case):
+        ranked, k, targets = case
+        got = outcome(bradford_partition, ranked, k=k, targets=targets)
+        want = outcome(three_close_bradford_partition, ranked, k=k, targets=targets)
+        assert got == want
 
 
 class TestShareCurve:

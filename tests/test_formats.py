@@ -16,7 +16,6 @@ from citenet import (
     write_edges,
 )
 from citenet.formats import (
-    read_csv_rows,
     read_docs,
     read_edges,
     read_journal_matrix,
@@ -288,27 +287,33 @@ class TestCsvRows:
         path = tmp_path / "edges.csv"
         path.write_bytes(b"\xef\xbb\xbfciting_id,cited_id\na,b\n\xff,c\n")
         with pytest.raises(DataError, match=r"edges\.csv:3: not valid UTF-8$"):
-            read_csv_rows(path)
+            read_xy(path)
 
     def test_crlf_and_quoted_fields_parse_as_the_csv_module_does(self, tmp_path):
         path = tmp_path / "docs.csv"
         path.write_bytes(
-            b"id,venue,year\r\n"
+            b"x,y,year\r\n"
             b'a,"J, ""Q""",2000\r\n'
             b'b,"two\r\nlines",2001\n'
             b"\xc3\xa9,\xe2\x80\xa8,\x00\r"
-            b"c,K,2002"
+            b"4,5,2002"
         )
         with open(path, newline="", encoding="utf-8") as fh:
             expected = list(csv.reader(fh))
-        assert read_csv_rows(path) == expected
+        # The first three data rows are not numeric, so each comes back
+        # as parsed, with the physical line it starts on.
+        (_, _, pairs), warnings = read_xy(path)
+        assert pairs == [(4.0, 5.0)]
+        assert warnings == [
+            f"{path}:{line}: bad numeric row {row!r}" for line, row in zip((2, 3, 5), expected[1:])
+        ]
         assert expected[1] == ["a", 'J, "Q"', "2000"]
 
     def test_line_counts_crlf_endings(self, tmp_path):
         path = tmp_path / "edges.csv"
         path.write_bytes(b"citing_id,cited_id\r\na,b\r\nc,\xe9\r\n")
         with pytest.raises(DataError, match=r"edges\.csv:3: not valid UTF-8$"):
-            read_csv_rows(path)
+            read_xy(path)
 
 
 class TestRoundTrip:

@@ -120,7 +120,9 @@ def ref_aggregate(graph, window, zero_diagonal=False):
     meta = graph.metadata
     pubs = Counter()
     universe = set()
-    for doc in meta.values():
+    # Records in node (sorted id) order: the venue-less document named
+    # must not depend on the order of the docs file's rows.
+    for doc in sorted(meta.values(), key=lambda d: d.id):
         in_source = window.covers_source(doc.year)
         if (in_source or doc.year == window.cite_year) and not doc.venue:
             raise DataError(f"document {doc.id!r} is inside the window but has no venue")

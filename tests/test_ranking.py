@@ -14,7 +14,6 @@ from citenet import (
     build_graph,
     hits,
     influence_metrics,
-    influence_per_publication,
     influence_weights,
     pagerank,
     total_influence,
@@ -277,13 +276,13 @@ class TestInfluenceWeights:
 
 class TestInfluenceProducts:
     def test_unweighted_mean(self):
-        # weights all 1, J1's received column sums to 30, pubs 10 -> 3.0
-        counts = [[0, 30], [10, 0]]
-        m = matrix_from(counts, [3, 10])
-        weights = ScoreVector(values={"J0": 1.0, "J1": 1.0})
-        per_pub = influence_per_publication(m, weights)
-        assert per_pub["J1"] == pytest.approx(30 / 10)
-        assert per_pub["J0"] == pytest.approx(10 / 3)
+        # Every row and column sums to 30, so the weights are all 1 and the
+        # per-publication figure is the received column sum over pubs.
+        m = matrix_from([[0, 30], [30, 0]], [3, 10])
+        result = influence_metrics(m)
+        assert result.weights.values == {"J0": 1.0, "J1": 1.0}
+        assert result.per_publication["J1"] == pytest.approx(30 / 10)
+        assert result.per_publication["J0"] == pytest.approx(30 / 3)
 
     def test_letters_journal_total(self):
         # High-volume letters journal: 38.1 per publication across 897
@@ -315,17 +314,15 @@ class TestInfluenceProducts:
         with pytest.raises(DataError, match="keys"):
             total_influence(per_pub, {"b": 2})
 
-    def test_per_publication_requires_matching_weights(self):
-        m = matrix_from([[0, 1], [1, 0]], [1, 1])
-        with pytest.raises(DataError, match="journal set"):
-            influence_per_publication(m, ScoreVector(values={"J0": 1.0}))
-
     def test_influence_metrics_product_identity_exact(self):
         rng = np.random.default_rng(8)
         m = matrix_from(rng.integers(1, 25, size=(6, 6)), rng.integers(1, 30, size=6))
         result = influence_metrics(m)
         pubs = dict(zip(m.journals, m.pubs.tolist()))
-        for j in m.journals:
+        w = np.array([result.weights[j] for j in m.journals])
+        received = m.counts.T.astype(float) @ w
+        for j, got in zip(m.journals, received / m.pubs):
+            assert result.per_publication[j] == pytest.approx(got, rel=1e-12)
             assert result.total[j] == result.per_publication[j] * pubs[j]
 
 

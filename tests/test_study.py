@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -25,7 +26,7 @@ from citenet import (
     stratified_every_kth,
     tc_vs_if_comparison,
 )
-from citenet.study import percent
+from citenet.study import _average_ranks, percent
 
 
 def make_docs(n, cites=None):
@@ -319,6 +320,34 @@ def ranks_with_ties(values):
             ranks[ordered[k]] = (i + j) / 2 + 1
         i = j + 1
     return ranks
+
+
+def while_loop_average_ranks(values):
+    """The tie-averaging loop ``study._average_ranks`` used before it
+    grouped ties with ``np.unique``; kept as the reference."""
+    order = np.lexsort((values,))
+    ranks = np.empty(len(values), dtype=np.float64)
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+class TestAverageRanks:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.sampled_from([-2.5, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0]) | st.floats(
+        -1e6, 1e6, allow_nan=False), max_size=40))
+    @example([0.0, -0.0, 0.0, -0.0, 1.0])
+    @example([])
+    def test_matches_the_while_loop_bit_for_bit(self, values):
+        values = np.array(values, dtype=np.float64)
+        got, want = _average_ranks(values), while_loop_average_ranks(values)
+        assert got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
 
 
 class TestPercent:
