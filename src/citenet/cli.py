@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
+from contextlib import contextmanager
 from itertools import islice
 from pathlib import Path
 
@@ -36,16 +37,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _positive_int(value: str) -> int:
-    number = int(value)
+    try:
+        number = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
     if number < 1:
         raise argparse.ArgumentTypeError(f"{value} must be >= 1")
     return number
-
-
-def _add_output_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out-dir", type=Path, help="directory for report files")
-    parser.add_argument("--json", action="store_true", help="also emit JSON")
-    parser.add_argument("--strict", action="store_true", help="abort on any malformed row")
 
 
 def _corpus_options(parser: argparse.ArgumentParser) -> None:
@@ -53,155 +51,148 @@ def _corpus_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--docs", type=Path, help="document metadata CSV")
 
 
+def _stopping_options(parser: argparse.ArgumentParser, tol: float, max_iter: int) -> None:
+    parser.add_argument("--tol", type=float, default=tol)
+    parser.add_argument("--max-iter", type=int, default=max_iter)
+
+
+def _journal_count_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--cite-year", type=int, required=True)
+    parser.add_argument("--by", choices=("cites", "articles", "references"), default="cites")
+
+
+def _study_options(parser: argparse.ArgumentParser, ranks: bool, one_author: bool = False) -> None:
+    """--docs, --ranks when ``ranks``, --author (repeatable unless ``one_author``) and --every."""
+    parser.add_argument("--docs", type=Path, required=True)
+    if ranks:
+        parser.add_argument("--ranks", type=Path, required=True)
+    parser.add_argument("--author", action="store" if one_author else "append", required=True)
+    parser.add_argument("--every", type=_positive_int, default=3)
+
+
+@contextmanager
+def _command(subparsers, name: str, help: str, func) -> Iterator[argparse.ArgumentParser]:
+    """A leaf subcommand that runs ``func``. The output options --out-dir,
+    --json and --strict are added after the ones added inside the ``with``
+    block, so they come last in its help."""
+    parser = subparsers.add_parser(name, help=help)
+    parser.set_defaults(func=func)
+    yield parser
+    parser.add_argument("--out-dir", type=Path, help="directory for report files")
+    parser.add_argument("--json", action="store_true", help="also emit JSON")
+    parser.add_argument("--strict", action="store_true", help="abort on any malformed row")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="citenet", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
 
-    p = commands.add_parser("pagerank", help="random-surfer document ranking")
-    _corpus_options(p)
-    p.add_argument("--damping", type=float, default=0.85)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=200)
-    p.add_argument("--top", type=_positive_int, help="limit report to the top N nodes")
-    _add_output_options(p)
-    p.set_defaults(func=_cmd_pagerank)
+    with _command(commands, "pagerank", "random-surfer document ranking", _cmd_pagerank) as p:
+        _corpus_options(p)
+        p.add_argument("--damping", type=float, default=0.85)
+        _stopping_options(p, tol=1e-10, max_iter=200)
+        p.add_argument("--top", type=_positive_int, help="limit report to the top N nodes")
 
-    p = commands.add_parser("hits", help="hub and authority scores")
-    _corpus_options(p)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=1000)
-    p.add_argument("--top", type=_positive_int)
-    _add_output_options(p)
-    p.set_defaults(func=_cmd_hits)
+    with _command(commands, "hits", "hub and authority scores", _cmd_hits) as p:
+        _corpus_options(p)
+        _stopping_options(p, tol=1e-10, max_iter=1000)
+        p.add_argument("--top", type=_positive_int)
 
-    p = commands.add_parser("influence", help="journal influence measures")
-    p.add_argument("--matrix", type=Path, help="journal matrix CSV")
-    _corpus_options(p)
-    p.add_argument("--cite-year", type=int,
-                   help="aggregate graph inputs over this citing year instead")
-    p.add_argument("--source-years", metavar="A:B",
-                   help="inclusive cited-year range (default: the two preceding years)")
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--max-iter", type=int, default=1000)
-    p.add_argument("--zero-diagonal", action="store_true", help="drop journal self-citations")
-    p.add_argument(
-        "--prune-nonreferencing",
-        action="store_true",
-        help="drop journals that give no references instead of erroring",
-    )
-    p.add_argument(
-        "--normalization",
-        choices=("reference_mean", "unit_mean"),
-        default="reference_mean",
-    )
-    _add_output_options(p)
-    p.set_defaults(func=_cmd_influence)
+    with _command(commands, "influence", "journal influence measures", _cmd_influence) as p:
+        p.add_argument("--matrix", type=Path, help="journal matrix CSV")
+        _corpus_options(p)
+        p.add_argument("--cite-year", type=int,
+                       help="aggregate graph inputs over this citing year instead")
+        p.add_argument("--source-years", metavar="A:B",
+                       help="inclusive cited-year range (default: the two preceding years)")
+        _stopping_options(p, tol=1e-12, max_iter=1000)
+        p.add_argument("--zero-diagonal", action="store_true", help="drop journal self-citations")
+        p.add_argument(
+            "--prune-nonreferencing",
+            action="store_true",
+            help="drop journals that give no references instead of erroring",
+        )
+        p.add_argument(
+            "--normalization",
+            choices=("reference_mean", "unit_mean"),
+            default="reference_mean",
+        )
 
-    p = commands.add_parser("total-cites", help="raw citations received per journal")
-    _corpus_options(p)
-    p.add_argument("--matrix", type=Path, help="journal matrix CSV (alternative source)")
-    p.add_argument("--cite-year", type=int, help="citing year (graph source)")
-    p.add_argument("--journal", help="restrict to one journal")
-    _add_output_options(p)
-    p.set_defaults(func=_cmd_total_cites)
+    with _command(commands, "total-cites", "raw citations received per journal",
+                  _cmd_total_cites) as p:
+        _corpus_options(p)
+        p.add_argument("--matrix", type=Path, help="journal matrix CSV (alternative source)")
+        p.add_argument("--cite-year", type=int, help="citing year (graph source)")
+        p.add_argument("--journal", help="restrict to one journal")
 
-    p = commands.add_parser("impact-factor", help="two-year impact factors")
-    _corpus_options(p)
-    p.add_argument("--cite-year", type=int, required=True)
-    p.add_argument("--journal", help="restrict to one journal")
-    p.add_argument(
-        "--doc-types",
-        help="comma-separated doc types to count (default: all types)",
-    )
-    _add_output_options(p)
-    p.set_defaults(func=_cmd_impact_factor)
+    with _command(commands, "impact-factor", "two-year impact factors", _cmd_impact_factor) as p:
+        _corpus_options(p)
+        p.add_argument("--cite-year", type=int, required=True)
+        p.add_argument("--journal", help="restrict to one journal")
+        p.add_argument(
+            "--doc-types",
+            help="comma-separated doc types to count (default: all types)",
+        )
 
-    p = commands.add_parser("h-index", help="h-index of a citation profile")
-    p.add_argument("--profile", type=Path, required=True, help="citation profile CSV")
-    _add_output_options(p)
-    p.set_defaults(func=_cmd_h_index)
+    with _command(commands, "h-index", "h-index of a citation profile", _cmd_h_index) as p:
+        p.add_argument("--profile", type=Path, required=True, help="citation profile CSV")
 
-    p = commands.add_parser("bradford", help="equal-yield zone partition of journals")
-    _corpus_options(p)
-    p.add_argument("--cite-year", type=int, required=True)
-    p.add_argument("--by", choices=("cites", "articles", "references"), default="cites")
-    p.add_argument("--zones", type=_positive_int, default=3)
-    p.add_argument("--targets", help="comma-separated cumulative item targets")
-    _add_output_options(p)
-    p.set_defaults(func=_cmd_bradford)
+    with _command(commands, "bradford", "equal-yield zone partition of journals",
+                  _cmd_bradford) as p:
+        _corpus_options(p)
+        _journal_count_options(p)
+        p.add_argument("--zones", type=_positive_int, default=3)
+        p.add_argument("--targets", help="comma-separated cumulative item targets")
 
-    p = commands.add_parser("share-curve", help="cumulative concentration curve")
-    _corpus_options(p)
-    p.add_argument("--cite-year", type=int, required=True)
-    p.add_argument("--by", choices=("cites", "articles", "references"), default="cites")
-    p.add_argument(
-        "--share",
-        type=float,
-        action="append",
-        default=[],
-        help="report how many journals reach this share (repeatable)",
-    )
-    p.add_argument("--threshold", type=int, action="append", default=[],
-                   help="report how many journals have counts >= this (repeatable)")
-    _add_output_options(p)
-    p.set_defaults(func=_cmd_share_curve)
+    with _command(commands, "share-curve", "cumulative concentration curve", _cmd_share_curve) as p:
+        _corpus_options(p)
+        _journal_count_options(p)
+        p.add_argument(
+            "--share",
+            type=float,
+            action="append",
+            default=[],
+            help="report how many journals reach this share (repeatable)",
+        )
+        p.add_argument("--threshold", type=int, action="append", default=[],
+                       help="report how many journals have counts >= this (repeatable)")
 
-    p = commands.add_parser("stability", help="top-N overlap between two years")
-    _corpus_options(p)
-    p.add_argument("--cite-year", type=int, required=True)
-    p.add_argument("--cite-year-b", type=int, required=True)
-    p.add_argument("--by", choices=("cites", "articles", "references"), default="cites")
-    p.add_argument("--top", type=_positive_int, required=True)
-    _add_output_options(p)
-    p.set_defaults(func=_cmd_stability)
+    with _command(commands, "stability", "top-N overlap between two years", _cmd_stability) as p:
+        _corpus_options(p)
+        _journal_count_options(p)
+        p.add_argument("--cite-year-b", type=int, required=True)
+        p.add_argument("--top", type=_positive_int, required=True)
 
     p = commands.add_parser("study", help="validation-study tables")
     study_commands = p.add_subparsers(dest="study_command", required=True)
 
-    sp = study_commands.add_parser("sample", help="stratified every-kth sample")
-    sp.add_argument("--docs", type=Path, required=True)
-    sp.add_argument("--author", required=True)
-    sp.add_argument("--every", type=_positive_int, default=3)
-    sp.add_argument("--seed", type=int, help="randomize the starting offset")
-    _add_output_options(sp)
-    sp.set_defaults(func=_cmd_study_sample)
+    with _command(study_commands, "sample", "stratified every-kth sample", _cmd_study_sample) as sp:
+        _study_options(sp, ranks=False, one_author=True)
+        sp.add_argument("--seed", type=int, help="randomize the starting offset")
 
-    sp = study_commands.add_parser("rank-buckets", help="journal rank-bucket table")
-    sp.add_argument("--docs", type=Path, required=True)
-    sp.add_argument("--ranks", type=Path, required=True)
-    sp.add_argument("--author", action="append", required=True)
-    sp.add_argument("--measure", choices=("tc", "if"), default="tc")
-    sp.add_argument("--every", type=_positive_int, default=3)
-    _add_output_options(sp)
-    sp.set_defaults(func=_cmd_study_rank_buckets)
+    with _command(study_commands, "rank-buckets", "journal rank-bucket table",
+                  _cmd_study_rank_buckets) as sp:
+        _study_options(sp, ranks=True)
+        sp.add_argument("--measure", choices=("tc", "if"), default="tc")
 
-    sp = study_commands.add_parser("tc-vs-if", help="TC-rank vs IF-rank comparison")
-    sp.add_argument("--docs", type=Path, required=True)
-    sp.add_argument("--ranks", type=Path, required=True)
-    sp.add_argument("--author", action="append", required=True)
-    sp.add_argument("--every", type=_positive_int, default=3)
-    _add_output_options(sp)
-    sp.set_defaults(func=_cmd_study_tc_vs_if)
+    with _command(study_commands, "tc-vs-if", "TC-rank vs IF-rank comparison",
+                  _cmd_study_tc_vs_if) as sp:
+        _study_options(sp, ranks=True)
 
-    sp = study_commands.add_parser("authorship", help="authorship-position table")
-    sp.add_argument("--docs", type=Path, required=True)
-    sp.add_argument("--author", action="append", required=True)
-    sp.add_argument("--every", type=_positive_int, default=3)
-    sp.add_argument(
-        "--reviews-only",
-        action="store_true",
-        help="classify all review articles instead of a sample",
-    )
-    _add_output_options(sp)
-    sp.set_defaults(func=_cmd_study_authorship)
+    with _command(study_commands, "authorship", "authorship-position table",
+                  _cmd_study_authorship) as sp:
+        _study_options(sp, ranks=False)
+        sp.add_argument(
+            "--reviews-only",
+            action="store_true",
+            help="classify all review articles instead of a sample",
+        )
 
-    p = commands.add_parser("correlate", help="pearson/spearman rank correlation")
-    p.add_argument("--data", type=Path, required=True, help="CSV with two numeric columns")
-    p.add_argument("--x-col", help="x column name (default: first column)")
-    p.add_argument("--y-col", help="y column name (default: second column)")
-    p.add_argument("--method", choices=("pearson", "spearman"), default="pearson")
-    _add_output_options(p)
-    p.set_defaults(func=_cmd_correlate)
+    with _command(commands, "correlate", "pearson/spearman rank correlation", _cmd_correlate) as p:
+        p.add_argument("--data", type=Path, required=True, help="CSV with two numeric columns")
+        p.add_argument("--x-col", help="x column name (default: first column)")
+        p.add_argument("--y-col", help="y column name (default: second column)")
+        p.add_argument("--method", choices=("pearson", "spearman"), default="pearson")
 
     return parser
 
@@ -268,13 +259,13 @@ def _exit_code(solver: str, result: ranking.ScoreVector | ranking.InfluenceResul
 
 
 def _ranked_counts(graph: CitationGraph, by: str, year: int) -> concentration.RankedCounts:
-    if by == "cites":
-        counts = metrics.journal_cite_counts(graph, year)
-    elif by == "articles":
-        counts = metrics.journal_article_counts(graph, year)
-    else:
-        counts = metrics.journal_reference_counts(graph, year)
-    return concentration.RankedCounts.from_counts(counts)
+    # Looked up per call, so that a wrapped metrics function is the one called.
+    count = {
+        "cites": metrics.journal_cite_counts,
+        "articles": metrics.journal_article_counts,
+        "references": metrics.journal_reference_counts,
+    }[by]
+    return concentration.RankedCounts.from_counts(count(graph, year))
 
 
 def _author_docs(graph: CitationGraph, author: str) -> list:

@@ -90,9 +90,6 @@ class TimeWindow:
         """The classic two-preceding-years window used by the impact factor."""
         return cls(cite_year, (cite_year - 2, cite_year - 1))
 
-    def covers_source(self, year: int) -> bool:
-        return self.source_years[0] <= year <= self.source_years[1]
-
 
 @dataclass(frozen=True, eq=False, init=False)
 class CitationGraph:

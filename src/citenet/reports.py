@@ -91,13 +91,12 @@ def write_report(
 ) -> list[Path]:
     """Write <name>.csv and <name>.txt (and <name>.json when asked)."""
     out_dir.mkdir(parents=True, exist_ok=True)
+    renderers = [(".csv", render_csv), (".txt", render_text)]
+    if include_json:
+        renderers.append((".json", render_json))
     written = []
-    for suffix, renderer in ((".csv", render_csv), (".txt", render_text)):
+    for suffix, renderer in renderers:
         path = out_dir / f"{name}{suffix}"
         path.write_text(renderer(table), encoding="utf-8")
-        written.append(path)
-    if include_json:
-        path = out_dir / f"{name}.json"
-        path.write_text(render_json(table), encoding="utf-8")
         written.append(path)
     return written

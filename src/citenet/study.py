@@ -47,6 +47,26 @@ class AuthorshipClass(Enum):
     ELEVENTH_OR_LOWER = "11th+"
 
 
+# Each band's column label and the largest rank or byline position in
+# it, in column order.
+_RANK_BANDS = {
+    RankBucket.TOP_500: ("Top 500", 500),
+    RankBucket.FROM_501_TO_1000: ("Ranked 501-1000", 1000),
+    RankBucket.BELOW_1000: ("Below 1000", math.inf),
+}
+_AUTHORSHIP_BANDS = {
+    AuthorshipClass.PRIMARY: ("Primary", 1),
+    AuthorshipClass.SECOND_TO_FIFTH: ("2nd to 5th", 5),
+    AuthorshipClass.SIXTH_TO_TENTH: ("6th to 10th", 10),
+    AuthorshipClass.ELEVENTH_OR_LOWER: ("11th and Lower", math.inf),
+}
+
+
+def _band(value: int, bands: Mapping[Enum, tuple[str, float]]) -> Enum:
+    """The first of ``bands`` whose largest value is at least ``value``."""
+    return next(band for band, (_, largest) in bands.items() if value <= largest)
+
+
 @dataclass(frozen=True)
 class RankRecord:
     """A journal's external ranking for one year, by total cites and by
@@ -64,10 +84,12 @@ class RankRecord:
                 raise DataError(f"{label} must be >= 1 when present, got {rank}")
 
     def rank_for(self, measure: str) -> int | None:
-        if measure == "tc":
-            return self.tc_rank
-        if measure == "if":
-            return self.if_rank
+        _check_measure(measure)
+        return self.tc_rank if measure == "tc" else self.if_rank
+
+
+def _check_measure(measure: str) -> None:
+    if measure not in ("tc", "if"):
         raise DataError(f"unknown measure {measure!r}; use 'tc' or 'if'")
 
 
@@ -145,11 +167,7 @@ def bucket(rank: int | None) -> RankBucket:
         return RankBucket.NOT_INDEXED
     if rank < 1:
         raise DataError(f"rank must be >= 1, got {rank}")
-    if rank <= 500:
-        return RankBucket.TOP_500
-    if rank <= 1000:
-        return RankBucket.FROM_501_TO_1000
-    return RankBucket.BELOW_1000
+    return _band(rank, _RANK_BANDS)
 
 
 def resolve_rank_records(
@@ -165,6 +183,27 @@ def resolve_rank_records(
 Samples = Mapping[str, Sequence[tuple[DocumentRecord, "RankRecord | None"]]]
 
 
+def _subjects(by_subject: Mapping[str, Sequence], what: str, empty: str):
+    """Yield (subject, items), rejecting an empty mapping or subject."""
+    if not by_subject:
+        raise DataError(f"no {what} given")
+    for subject, items in by_subject.items():
+        if not items:
+            raise DataError(f"{empty} for subject {subject!r}")
+        yield subject, items
+
+
+def _band_layout(bands: Mapping[Enum, tuple[str, float]]) -> tuple[tuple[str, ...], ...]:
+    """Columns and formats of a count and a percentage per band."""
+    columns = tuple(column for label, _ in bands.values() for column in (label, f"% {label}"))
+    return columns, ("d", "p") * len(bands)
+
+
+def _band_cells(tallies: Mapping[Enum, int], size: int) -> tuple[Cell, ...]:
+    """Each band's count and its percentage of ``size``, in band order."""
+    return tuple(cell for count in tallies.values() for cell in (count, percent(count, size)))
+
+
 def rank_bucket_table(samples_by_subject: Samples, measure: str) -> StudyTable:
     """Per-subject rank-bucket counts/percentages and median rank.
 
@@ -172,51 +211,26 @@ def rank_bucket_table(samples_by_subject: Samples, measure: str) -> StudyTable:
     present); unresolved or unranked items count toward the sample size
     only. The median is over the indexed ranks.
     """
-    if measure not in ("tc", "if"):
-        raise DataError(f"unknown measure {measure!r}; use 'tc' or 'if'")
-    if not samples_by_subject:
-        raise DataError("no samples given")
+    _check_measure(measure)
     rows = []
-    for subject, sample in samples_by_subject.items():
-        if not sample:
-            raise DataError(f"empty sample for subject {subject!r}")
+    for subject, sample in _subjects(samples_by_subject, "samples", "empty sample"):
         ranks = []
         for _, record in sample:
             rank = record.rank_for(measure) if record is not None and record.indexed else None
             if rank is not None:
                 ranks.append(rank)
-        tallies = {b: 0 for b in RankBucket}
+        tallies = dict.fromkeys(_RANK_BANDS, 0)
         for rank in ranks:
             tallies[bucket(rank)] += 1
-        indexed = len(ranks)
         rows.append(
-            (
-                subject,
-                len(sample),
-                tallies[RankBucket.TOP_500],
-                percent(tallies[RankBucket.TOP_500], indexed),
-                tallies[RankBucket.FROM_501_TO_1000],
-                percent(tallies[RankBucket.FROM_501_TO_1000], indexed),
-                tallies[RankBucket.BELOW_1000],
-                percent(tallies[RankBucket.BELOW_1000], indexed),
-                midpoint_median(ranks),
-            )
+            (subject, len(sample), *_band_cells(tallies, len(ranks)), midpoint_median(ranks))
         )
     label = measure.upper()
+    band_columns, band_formats = _band_layout(_RANK_BANDS)
     return StudyTable(
         title=f"Journal rank buckets by {label} in year of publication",
-        columns=(
-            "Subject",
-            "Sample Size",
-            "Top 500",
-            "% Top 500",
-            "Ranked 501-1000",
-            "% Ranked 501-1000",
-            "Below 1000",
-            "% Below 1000",
-            "Median Rank",
-        ),
-        formats=("s", "d", "d", "p", "d", "p", "d", "p", "m"),
+        columns=("Subject", "Sample Size", *band_columns, "Median Rank"),
+        formats=("s", "d", *band_formats, "m"),
         rows=tuple(rows),
         footnotes=(
             f"Percentages and median are over items with a {label} rank; "
@@ -230,12 +244,8 @@ def tc_vs_if_comparison(samples_by_subject: Samples) -> StudyTable:
     impact-factor rank (numerically smaller = higher standing; ties do
     not count as higher). The percentage is over items carrying both
     ranks; items lacking either are excluded from it and reported."""
-    if not samples_by_subject:
-        raise DataError("no samples given")
     rows = []
-    for subject, sample in samples_by_subject.items():
-        if not sample:
-            raise DataError(f"empty sample for subject {subject!r}")
+    for subject, sample in _subjects(samples_by_subject, "samples", "empty sample"):
         indexed = 0
         both = 0
         higher = 0
@@ -288,13 +298,7 @@ def authorship_position(doc: DocumentRecord, author: str) -> tuple[int, Authorsh
     wanted = normalize_author(author)
     for position, name in enumerate(doc.authors, 1):
         if normalize_author(name) == wanted:
-            if position == 1:
-                return position, AuthorshipClass.PRIMARY
-            if position <= 5:
-                return position, AuthorshipClass.SECOND_TO_FIFTH
-            if position <= 10:
-                return position, AuthorshipClass.SIXTH_TO_TENTH
-            return position, AuthorshipClass.ELEVENTH_OR_LOWER
+            return position, _band(position, _AUTHORSHIP_BANDS)
     raise DataError(f"author {author!r} not in the byline of document {doc.id!r}")
 
 
@@ -312,24 +316,25 @@ def authorship_table(
     sample. The summary line is the overall share of primary
     authorship.
     """
-    if not docs_by_subject:
-        raise DataError("no documents given")
-    rows = []
-    total_works = 0
-    total_primary = 0
-    for subject, docs in docs_by_subject.items():
-        try:
-            author = authors[subject]
-        except KeyError:
-            raise DataError(f"no author name configured for subject {subject!r}") from None
-        considered: list[tuple[int, DocumentRecord]] = [
+    considered_by_subject = {
+        subject: [
             (position, doc)
             for position, doc in enumerate(docs, 1)
             if not reviews_only or doc.doc_type is DocType.REVIEW
         ]
-        if not considered:
-            raise DataError(f"no documents to classify for subject {subject!r}")
-        tallies = {c: 0 for c in AuthorshipClass}
+        for subject, docs in docs_by_subject.items()
+    }
+    rows = []
+    total_works = 0
+    total_primary = 0
+    for subject, considered in _subjects(
+        considered_by_subject, "documents", "no documents to classify"
+    ):
+        try:
+            author = authors[subject]
+        except KeyError:
+            raise DataError(f"no author name configured for subject {subject!r}") from None
+        tallies = dict.fromkeys(_AUTHORSHIP_BANDS, 0)
         author_counts = []
         for _, doc in considered:
             _, klass = authorship_position(doc, author)
@@ -338,50 +343,29 @@ def authorship_table(
         size = len(considered)
         total_works += size
         total_primary += tallies[AuthorshipClass.PRIMARY]
-        row: tuple[Cell, ...] = (
-            subject,
-            size,
-            *(
-                (midpoint_median([rank for rank, _ in considered]),)
-                if reviews_only
-                else (f"{min(author_counts)} to {max(author_counts)}",)
-            ),
-            midpoint_median(author_counts),
-            tallies[AuthorshipClass.PRIMARY],
-            percent(tallies[AuthorshipClass.PRIMARY], size),
-            tallies[AuthorshipClass.SECOND_TO_FIFTH],
-            percent(tallies[AuthorshipClass.SECOND_TO_FIFTH], size),
-            tallies[AuthorshipClass.SIXTH_TO_TENTH],
-            percent(tallies[AuthorshipClass.SIXTH_TO_TENTH], size),
-            tallies[AuthorshipClass.ELEVENTH_OR_LOWER],
-            percent(tallies[AuthorshipClass.ELEVENTH_OR_LOWER], size),
+        if reviews_only:
+            spread: Cell = midpoint_median([rank for rank, _ in considered])
+        else:
+            spread = f"{min(author_counts)} to {max(author_counts)}"
+        rows.append(
+            (subject, size, spread, midpoint_median(author_counts), *_band_cells(tallies, size))
         )
-        rows.append(row)
 
-    shared = (
-        "Primary",
-        "% Primary",
-        "2nd to 5th",
-        "% 2nd to 5th",
-        "6th to 10th",
-        "% 6th to 10th",
-        "11th and Lower",
-        "% 11th and Lower",
-    )
     if reviews_only:
         title = "Authorship pattern of review articles"
-        columns = ("Subject", "Reviews", "Cites Rank Median", "Authors Median", *shared)
-        formats = ("s", "d", "m", "m", "d", "p", "d", "p", "d", "p", "d", "p")
+        lead_columns = ("Reviews", "Cites Rank Median")
+        lead_formats = ("d", "m")
         summary_label = "Overall % primary author of review articles"
     else:
         title = "Authorship pattern of sampled works"
-        columns = ("Subject", "Sample Size", "Authors Range", "Authors Median", *shared)
-        formats = ("s", "d", "s", "m", "d", "p", "d", "p", "d", "p", "d", "p")
+        lead_columns = ("Sample Size", "Authors Range")
+        lead_formats = ("d", "s")
         summary_label = "Overall % primary author of works"
+    band_columns, band_formats = _band_layout(_AUTHORSHIP_BANDS)
     return StudyTable(
         title=title,
-        columns=columns,
-        formats=formats,
+        columns=("Subject", *lead_columns, "Authors Median", *band_columns),
+        formats=("s", *lead_formats, "m", *band_formats),
         rows=tuple(rows),
         summary=((summary_label, percent(total_primary, total_works)),),
     )

@@ -1,16 +1,19 @@
 """End-to-end CLI runs on bundled fixtures: golden comparisons,
 determinism, and exit codes."""
 
+import argparse
 import filecmp
+import re
 from pathlib import Path
 
 import pytest
 
-from citenet.cli import main
+from citenet.cli import build_parser, main
 from laureate_fixture import SUBJECT_NAMES
 
 DATA = Path(__file__).resolve().parent / "data"
 GOLDEN = Path(__file__).resolve().parent / "golden"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 AUTHOR_FLAGS = [flag for name in SUBJECT_NAMES for flag in ("--author", name)]
 
@@ -261,6 +264,41 @@ class TestExitCodes:
             "citenet: error: document 'x' is inside the window but has no venue\n"
         )
 
+    @pytest.mark.parametrize(
+        "args, code, err",
+        [
+            (["hits", "--top", "abc"], 1, "citenet hits: argument --top: invalid int value: 'abc'"),
+            (["hits", "--top", "0"], 1, "citenet hits: argument --top: 0 must be >= 1"),
+            (
+                ["study", "sample", "--docs", str(DATA / "mini" / "docs.csv"),
+                 "--author", "M. Okafor", "--every", "0"],
+                1,
+                "citenet study sample: argument --every: 0 must be >= 1",
+            ),
+            (
+                ["influence", "--cite-year", "2011", "--source-years", "bad"],
+                1,
+                "citenet influence: bad --source-years 'bad'",
+            ),
+            (
+                ["influence", "--cite-year", "2011", "--source-years", "2012:2010"],
+                2,
+                "citenet: error: source_years (2012, 2010) not an increasing range",
+            ),
+            (
+                ["influence", "--cite-year", "2011", "--source-years", "2009:2012"],
+                2,
+                "citenet: error: source_years (2009, 2012) extend past cite_year 2011",
+            ),
+        ],
+    )
+    def test_bad_option_value(self, args, code, err, capsys):
+        if args[0] != "study":
+            args = [*args, "--edges", str(DATA / "mini" / "edges.csv"),
+                    "--docs", str(DATA / "mini" / "docs.csv")]
+        assert main(args) == code
+        assert capsys.readouterr().err == err + "\n"
+
     def test_data_error_zero_variance_correlation(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"
         path.write_text("x,y\n1,5\n2,5\n3,5\n")
@@ -349,3 +387,36 @@ class TestCliBehaviors:
         capsys.readouterr()
         assert main(["pagerank", "--edges", str(edges)]) == 0
         assert "warning" in capsys.readouterr().err
+
+
+def leaf_parsers(parser, prefix=()):
+    """(command words, parser) for every subcommand that runs a handler."""
+    subcommands = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subcommands:
+        yield prefix, parser
+    for action in subcommands:
+        for name, sub in action.choices.items():
+            yield from leaf_parsers(sub, (*prefix, name))
+
+
+def readme_synopsis():
+    """Options per command in README's `## CLI` command block."""
+    section = README.read_text(encoding="utf-8").split("## CLI", 1)[1]
+    block = section.split("Commands:", 1)[1].split("```text\n", 1)[1].split("```", 1)[0]
+    options, command = {}, None
+    for line in block.splitlines():
+        if not line.startswith(" "):
+            command = tuple(re.match(r"((?:study )?[a-z-]+)", line).group(1).split())
+            options[command] = set()
+        options[command] |= set(re.findall(r"--[a-z][a-z-]*", line))
+    return options
+
+
+def test_readme_synopsis_lists_every_option_of_every_command():
+    shared = {"--help", "--out-dir", "--json", "--strict"}
+    parsed = {
+        command: {o for a in leaf._actions for o in a.option_strings if o.startswith("--")} - shared
+        for command, leaf in leaf_parsers(build_parser())
+    }
+    assert len(parsed) == 14
+    assert readme_synopsis() == parsed

@@ -60,20 +60,20 @@ def ref_total_cites(graph, journal, window):
 def ref_impact_factor_from_graph(graph, journal, cite_year, doc_types=None):
     if journal not in ref_journals(graph):
         raise DataError(f"unknown journal {journal!r}")
-    window = TimeWindow.two_year(cite_year)
+    first, last = TimeWindow.two_year(cite_year).source_years
     allowed = set(doc_types) if doc_types is not None else None
     meta = graph.metadata
     items = {
         doc.id
         for doc in meta.values()
         if doc.venue == journal
-        and window.covers_source(doc.year)
+        and first <= doc.year <= last
         and (allowed is None or doc.doc_type in allowed)
     }
     if not items:
         raise UndefinedMetricError(
             f"journal {journal!r} published no countable items in "
-            f"{window.source_years[0]}-{window.source_years[1]}"
+            f"{first}-{last}"
         )
     cites = 0
     for citing, cited, mult in graph.edges:
@@ -117,13 +117,14 @@ def ref_journal_reference_counts(graph, year):
 
 
 def ref_aggregate(graph, window, zero_diagonal=False):
+    first, last = window.source_years
     meta = graph.metadata
     pubs = Counter()
     universe = set()
     # Records in node (sorted id) order: the venue-less document named
     # must not depend on the order of the docs file's rows.
     for doc in sorted(meta.values(), key=lambda d: d.id):
-        in_source = window.covers_source(doc.year)
+        in_source = first <= doc.year <= last
         if (in_source or doc.year == window.cite_year) and not doc.venue:
             raise DataError(f"document {doc.id!r} is inside the window but has no venue")
         if doc.venue and (in_source or doc.year == window.cite_year):
@@ -143,7 +144,7 @@ def ref_aggregate(graph, window, zero_diagonal=False):
             raise DataError(
                 f"document {cited!r} is cited from inside the window but has no metadata"
             )
-        if not window.covers_source(cited_doc.year):
+        if not first <= cited_doc.year <= last:
             continue
         i = index.get(citing_doc.venue)
         j = index.get(cited_doc.venue)

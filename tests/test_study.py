@@ -299,6 +299,39 @@ class TestAuthorshipTable:
             assert row[4] + row[6] + row[8] + row[10] == row[1]
 
 
+_CHECKED_DOC = DocumentRecord("d", "V", 2000, authors=("Ann Author",), cites=5)
+_CHECKED_PAIR = (_CHECKED_DOC, RankRecord("V", 2000, tc_rank=3, if_rank=7))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: rank_bucket_table({}, "tc"), "no samples given"),
+        (lambda: tc_vs_if_comparison({}), "no samples given"),
+        (lambda: tc_vs_if_comparison({"s": []}), "empty sample for subject 's'"),
+        (lambda: rank_bucket_table({"s": [_CHECKED_PAIR]}, "xx"), "unknown measure 'xx'"),
+        (lambda: rank_bucket_table({}, "xx"), "unknown measure 'xx'"),
+        (lambda: _CHECKED_PAIR[1].rank_for("xx"), "unknown measure 'xx'"),
+        (lambda: authorship_table({}, {}), "no documents given"),
+        (
+            lambda: authorship_table({"s": [_CHECKED_DOC]}, {"t": "Ann Author"}),
+            "no author name configured for subject 's'",
+        ),
+        (
+            lambda: authorship_table({"s": [_CHECKED_DOC]}, {"s": "Ann Author"}, reviews_only=True),
+            "no documents to classify for subject 's'",
+        ),
+        (
+            lambda: authorship_table({"s": []}, {"s": "Ann Author"}),
+            "no documents to classify for subject 's'",
+        ),
+    ],
+)
+def test_study_table_input_checks(build, message):
+    with pytest.raises(DataError, match=message):
+        build()
+
+
 def pearson_textbook(xs, ys):
     n = len(xs)
     mx = sum(xs) / n
