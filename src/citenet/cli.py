@@ -5,6 +5,9 @@ one analysis, and emits a deterministic report (CSV + aligned text,
 JSON with ``--json``) either to ``--out-dir`` or stdout.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 non-convergence.
+
+Importing this module loads only ``errors`` and ``graph`` of citenet;
+each handler imports the modules it runs when it is called.
 """
 
 from __future__ import annotations
@@ -15,11 +18,14 @@ from collections.abc import Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from itertools import islice
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import concentration, formats, metrics, ranking, reports, study
 from .errors import CitenetError, DataError
 from .graph import CitationGraph, DocType, TimeWindow, aggregate_to_journal_matrix
-from .study import StudyTable
+
+if TYPE_CHECKING:
+    from . import concentration, ranking
+    from .study import StudyTable
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -208,6 +214,8 @@ def _warn(notes: Iterable[str]) -> None:
 
 
 def _load_graph(args: argparse.Namespace) -> CitationGraph:
+    from . import formats
+
     # The study commands take --docs only.
     edges = getattr(args, "edges", None)
     if edges is None and args.docs is None:
@@ -221,6 +229,8 @@ def _ranked_table(
     title: str, columns: tuple[str, ...], cell_formats: tuple[str, ...], rows: Iterable, **notes
 ) -> StudyTable:
     """A table of ``rows``, best first, numbered from 1 in a leading Rank column."""
+    from .study import StudyTable
+
     return StudyTable(
         title=title,
         columns=("Rank", *columns),
@@ -259,6 +269,8 @@ def _exit_code(solver: str, result: ranking.ScoreVector | ranking.InfluenceResul
 
 
 def _ranked_counts(graph: CitationGraph, by: str, year: int) -> concentration.RankedCounts:
+    from . import concentration, metrics
+
     # Looked up per call, so that a wrapped metrics function is the one called.
     count = {
         "cites": metrics.journal_cite_counts,
@@ -278,6 +290,8 @@ def _author_docs(graph: CitationGraph, author: str) -> list:
 def _emit(
     tables: list[tuple[str, StudyTable]], args: argparse.Namespace
 ) -> None:
+    from . import reports
+
     for name, table in tables:
         if args.out_dir is not None:
             reports.write_report(table, args.out_dir, name, include_json=args.json)
@@ -293,6 +307,8 @@ def _emit(
 
 
 def _cmd_pagerank(args) -> tuple[list[tuple[str, StudyTable]], int]:
+    from . import ranking
+
     params = ranking.PageRankParams(damping=args.damping, tol=args.tol, max_iter=args.max_iter)
     graph = _load_graph(args)
     scores = ranking.pagerank(graph, params)
@@ -303,6 +319,8 @@ def _cmd_pagerank(args) -> tuple[list[tuple[str, StudyTable]], int]:
 
 
 def _cmd_hits(args) -> tuple[list[tuple[str, StudyTable]], int]:
+    from . import ranking
+
     ranking.check_stopping(args.tol, args.max_iter)
     graph = _load_graph(args)
     authority, hub = ranking.hits(graph, tol=args.tol, max_iter=args.max_iter)
@@ -314,6 +332,8 @@ def _cmd_hits(args) -> tuple[list[tuple[str, StudyTable]], int]:
 
 
 def _cmd_influence(args) -> tuple[list[tuple[str, StudyTable]], int]:
+    from . import formats, ranking
+
     ranking.check_stopping(args.tol, args.max_iter)
     if args.matrix is not None:
         matrix = formats.read_journal_matrix(args.matrix)
@@ -322,7 +342,6 @@ def _cmd_influence(args) -> tuple[list[tuple[str, StudyTable]], int]:
             raise _UsageError(
                 "citenet influence: give --matrix, or graph inputs with --cite-year"
             )
-        graph = _load_graph(args)
         if args.source_years:
             try:
                 first, last = (int(y) for y in args.source_years.split(":"))
@@ -333,7 +352,7 @@ def _cmd_influence(args) -> tuple[list[tuple[str, StudyTable]], int]:
             window = TimeWindow(args.cite_year, (first, last))
         else:
             window = TimeWindow.two_year(args.cite_year)
-        matrix = aggregate_to_journal_matrix(graph, window)
+        matrix = aggregate_to_journal_matrix(_load_graph(args), window)
         if matrix.dropped:
             _warn(["dropped journals without window publications: " + ", ".join(matrix.dropped)])
     if args.zero_diagonal:
@@ -362,6 +381,8 @@ def _cmd_influence(args) -> tuple[list[tuple[str, StudyTable]], int]:
 
 
 def _cmd_total_cites(args) -> tuple[list[tuple[str, StudyTable]], int]:
+    from . import concentration, formats, metrics
+
     if args.matrix is not None:
         matrix = formats.read_journal_matrix(args.matrix)
         counts = dict(zip(matrix.journals, matrix.citation_totals().tolist()))
@@ -383,6 +404,8 @@ def _cmd_total_cites(args) -> tuple[list[tuple[str, StudyTable]], int]:
 
 
 def _cmd_impact_factor(args) -> tuple[list[tuple[str, StudyTable]], int]:
+    from . import metrics, ranking
+
     graph = _load_graph(args)
     doc_types = None
     if args.doc_types:
@@ -406,6 +429,9 @@ def _cmd_impact_factor(args) -> tuple[list[tuple[str, StudyTable]], int]:
 
 
 def _cmd_h_index(args) -> tuple[list[tuple[str, StudyTable]], int]:
+    from . import formats, metrics
+    from .study import StudyTable
+
     profile, warnings = formats.read_profile(args.profile, args.strict)
     _warn(warnings)
     summary = metrics.profile_summary(profile)
@@ -421,6 +447,9 @@ def _cmd_h_index(args) -> tuple[list[tuple[str, StudyTable]], int]:
 
 
 def _cmd_bradford(args) -> tuple[list[tuple[str, StudyTable]], int]:
+    from . import concentration
+    from .study import StudyTable
+
     graph = _load_graph(args)
     ranked = _ranked_counts(graph, args.by, args.cite_year)
     targets = None
@@ -442,6 +471,9 @@ def _cmd_bradford(args) -> tuple[list[tuple[str, StudyTable]], int]:
 
 
 def _cmd_share_curve(args) -> tuple[list[tuple[str, StudyTable]], int]:
+    from . import concentration
+    from .study import StudyTable
+
     graph = _load_graph(args)
     ranked = _ranked_counts(graph, args.by, args.cite_year)
     curve = concentration.share_curve(ranked)
@@ -467,6 +499,9 @@ def _cmd_share_curve(args) -> tuple[list[tuple[str, StudyTable]], int]:
 
 
 def _cmd_stability(args) -> tuple[list[tuple[str, StudyTable]], int]:
+    from . import concentration
+    from .study import StudyTable
+
     graph = _load_graph(args)
     ranked_a = _ranked_counts(graph, args.by, args.cite_year)
     ranked_b = _ranked_counts(graph, args.by, args.cite_year_b)
@@ -484,10 +519,12 @@ def _cmd_stability(args) -> tuple[list[tuple[str, StudyTable]], int]:
 
 
 def _cmd_study_sample(args) -> tuple[list[tuple[str, StudyTable]], int]:
+    from . import study
+
     docs = _author_docs(_load_graph(args), args.author)
     sample = study.stratified_every_kth(docs, args.every, seed=args.seed)
     positions = {d.id: i for i, d in enumerate(docs, 1)}
-    table = StudyTable(
+    table = study.StudyTable(
         title=f"Every-{args.every} sample for {args.author}",
         columns=("Position", "Id", "Venue", "Year", "Cites"),
         formats=("d", "s", "s", "d", "d"),
@@ -497,6 +534,8 @@ def _cmd_study_sample(args) -> tuple[list[tuple[str, StudyTable]], int]:
 
 
 def _study_samples(args) -> dict[str, list]:
+    from . import study
+
     graph = _load_graph(args)
     return {
         author: study.stratified_every_kth(_author_docs(graph, author), args.every)
@@ -505,6 +544,8 @@ def _study_samples(args) -> dict[str, list]:
 
 
 def _resolved_samples(args) -> dict[str, list]:
+    from . import formats, study
+
     samples = _study_samples(args)
     records, warnings = formats.read_rank_records(args.ranks, args.strict)
     _warn(warnings)
@@ -516,16 +557,22 @@ def _resolved_samples(args) -> dict[str, list]:
 
 
 def _cmd_study_rank_buckets(args) -> tuple[list[tuple[str, StudyTable]], int]:
+    from . import study
+
     table = study.rank_bucket_table(_resolved_samples(args), args.measure)
     return [(f"study-rank-buckets-{args.measure}", table)], EXIT_OK
 
 
 def _cmd_study_tc_vs_if(args) -> tuple[list[tuple[str, StudyTable]], int]:
+    from . import study
+
     table = study.tc_vs_if_comparison(_resolved_samples(args))
     return [("study-tc-vs-if", table)], EXIT_OK
 
 
 def _cmd_study_authorship(args) -> tuple[list[tuple[str, StudyTable]], int]:
+    from . import study
+
     if args.reviews_only:
         graph = _load_graph(args)
         docs_by_subject = {author: _author_docs(graph, author) for author in args.author}
@@ -542,11 +589,13 @@ def _cmd_study_authorship(args) -> tuple[list[tuple[str, StudyTable]], int]:
 
 
 def _cmd_correlate(args) -> tuple[list[tuple[str, StudyTable]], int]:
+    from . import formats, study
+
     (x_col, y_col, xy), warnings = formats.read_xy(args.data, args.x_col, args.y_col, args.strict)
     _warn(warnings)
     xs, ys = [x for x, _ in xy], [y for _, y in xy]
     value = study.rank_correlation(xs, ys, method=args.method)
-    table = StudyTable(
+    table = study.StudyTable(
         title=f"{args.method.capitalize()} correlation of {x_col} vs {y_col}",
         columns=("Method", "Pairs", "Coefficient"),
         formats=("s", "d", "g"),

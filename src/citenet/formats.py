@@ -24,13 +24,16 @@ import io
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from ._numpy import np
 from .errors import DataError
 from .graph import CitationGraph, DocType, DocumentRecord, JournalCitationMatrix, build_graph
 from .graph import _InternedEdges
-from .metrics import CitationProfile
-from .study import RankRecord
+
+if TYPE_CHECKING:
+    from .metrics import CitationProfile
+    from .study import RankRecord
 
 _TRUE = {"true", "1", "yes", "y"}
 _FALSE = {"false", "0", "no", "n"}
@@ -74,14 +77,19 @@ def _csv_records(path: Path) -> Iterator[tuple[int, list[str]]]:
 
 class _RowReader:
     """One pass over the non-blank rows after the header, with the line
-    each starts on; checks the header when ``expected_header`` is given."""
+    each starts on; checks the header when ``expected_header`` is given.
+
+    ``records`` is the same pass with blank rows left in: a reader that
+    checks every row's shape can walk it and call ``any(row)`` only on
+    the rows that fail the check, saving a generator step per row.
+    """
 
     def __init__(self, path: Path, strict: bool, expected_header: list[str] | None = None):
         self.path = path
         self.strict = strict
         self.warnings: list[str] = []
-        self._records = _csv_records(path)
-        first = next(self._records, None)
+        self.records = _csv_records(path)
+        first = next(self.records, None)
         self.header = first[1] if first else []
         if expected_header is not None and self.header != expected_header:
             raise DataError(
@@ -96,7 +104,7 @@ class _RowReader:
         self.warnings.append(note)
 
     def __iter__(self):
-        return ((lineno, row) for lineno, row in self._records if any(row))
+        return ((lineno, row) for lineno, row in self.records if any(row))
 
 
 def _read_edges_with_lines(
@@ -108,9 +116,10 @@ def _read_edges_with_lines(
     with (citing, cited) codes ``pairs[2k]``, ``pairs[2k + 1]``."""
     reader = _RowReader(path, strict, ["citing_id", "cited_id"])
     codes, lines, pairs = {}, [], []
-    for lineno, row in reader:
+    for lineno, row in reader.records:
         if len(row) != 2 or not row[0] or not row[1]:
-            reader.complain(lineno, f"malformed edge row {row!r}")
+            if any(row):
+                reader.complain(lineno, f"malformed edge row {row!r}")
             continue
         lines.append(lineno)
         pairs += (codes.setdefault(row[0], len(codes)), codes.setdefault(row[1], len(codes)))
@@ -154,6 +163,8 @@ def read_docs(path: Path, strict: bool = False) -> tuple[list[DocumentRecord], l
 
 
 def read_rank_records(path: Path, strict: bool = False) -> tuple[list[RankRecord], list[str]]:
+    from .study import RankRecord
+
     reader = _RowReader(path, strict, ["journal", "year", "indexed", "tc_rank", "if_rank"])
     records: list[RankRecord] = []
 
@@ -184,6 +195,8 @@ def read_rank_records(path: Path, strict: bool = False) -> tuple[list[RankRecord
 
 
 def read_profile(path: Path, strict: bool = False) -> tuple[CitationProfile, list[str]]:
+    from .metrics import CitationProfile
+
     reader = _RowReader(path, strict, ["cites"])
     counts: list[int] = []
     for lineno, row in reader:

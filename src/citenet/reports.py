@@ -6,10 +6,11 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .study import Cell, StudyTable
+if TYPE_CHECKING:
+    from .study import Cell, StudyTable
 
 
 def format_cell(value: Cell, fmt: str) -> str:
@@ -76,6 +77,8 @@ def render_text(table: StudyTable) -> str:
 
 
 def render_json(table: StudyTable) -> str:
+    import json
+
     payload = {
         "title": table.title,
         "columns": list(table.columns),

@@ -11,12 +11,10 @@ deterministically: counts as integers, percentages to one decimal
 from __future__ import annotations
 
 import math
-import random
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
-from statistics import median as _median
 
 from ._numpy import np
 from .errors import DataError, UndefinedMetricError
@@ -134,9 +132,11 @@ def percent(count: int, denominator: int) -> float | None:
 
 def midpoint_median(values: Sequence[int | float]) -> float | None:
     """Median with even-sized sets reported as the midpoint (x.5)."""
+    from statistics import median
+
     if not values:
         return None
-    return float(_median(values))
+    return float(median(values))
 
 
 def stratified_every_kth(
@@ -155,7 +155,11 @@ def stratified_every_kth(
     if keys != sorted(keys):
         raise DataError("documents are not sorted by cites descending (ties by id)")
     if offset is None:
-        offset = random.Random(seed).randrange(k) if seed is not None else 0
+        offset = 0
+        if seed is not None:
+            import random
+
+            offset = random.Random(seed).randrange(k)
     if not 0 <= offset < k:
         raise DataError(f"offset must be in [0, {k}), got {offset}")
     return list(docs[offset::k])

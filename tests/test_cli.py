@@ -16,6 +16,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 AUTHOR_FLAGS = [flag for name in SUBJECT_NAMES for flag in ("--author", name)]
+MISSING_INPUTS = ["--edges", str(DATA / "missing" / "edges.csv"),
+                  "--docs", str(DATA / "missing" / "docs.csv")]
 
 
 def rank_study_args(command, *extra):
@@ -290,10 +292,22 @@ class TestExitCodes:
                 2,
                 "citenet: error: source_years (2009, 2012) extend past cite_year 2011",
             ),
+            # The window is checked before the inputs are read.
+            (
+                ["influence", "--cite-year", "2011", "--source-years", "bad", *MISSING_INPUTS],
+                1,
+                "citenet influence: bad --source-years 'bad'",
+            ),
+            (
+                ["influence", "--cite-year", "2011", "--source-years", "2012:2010",
+                 *MISSING_INPUTS],
+                2,
+                "citenet: error: source_years (2012, 2010) not an increasing range",
+            ),
         ],
     )
     def test_bad_option_value(self, args, code, err, capsys):
-        if args[0] != "study":
+        if args[0] != "study" and "--edges" not in args:
             args = [*args, "--edges", str(DATA / "mini" / "edges.csv"),
                     "--docs", str(DATA / "mini" / "docs.csv")]
         assert main(args) == code

@@ -1,9 +1,7 @@
-"""The package's public names: ``__all__`` and the imports in
-``citenet/__init__.py`` must agree, so that removing or adding a name
-takes both edits."""
+"""The package's public names: every name in ``citenet.__all__`` is the
+object its module defines, and star-import and ``dir`` see them all."""
 
-import ast
-from pathlib import Path
+import importlib
 
 import citenet
 
@@ -14,13 +12,21 @@ def test_every_exported_name_resolves_once():
     assert missing == []
 
 
-def test_every_public_import_is_exported():
-    tree = ast.parse(Path(citenet.__file__).read_text(encoding="utf-8"))
-    imported = {
-        alias.asname or alias.name
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
-    public = {name for name in imported if not name.startswith("_")}
-    assert sorted(public - set(citenet.__all__)) == []
+def test_every_exported_name_is_its_modules_object():
+    wrong = [
+        name
+        for name in citenet.__all__
+        if getattr(citenet, name)
+        is not getattr(importlib.import_module(f"citenet.{citenet._MODULE_OF[name]}"), name)
+    ]
+    assert wrong == []
+
+
+def test_star_import_binds_every_exported_name():
+    namespace = {}
+    exec("from citenet import *", namespace)
+    assert sorted(set(citenet.__all__) - set(namespace)) == []
+
+
+def test_dir_lists_every_exported_name():
+    assert sorted(set(citenet.__all__) - set(dir(citenet))) == []

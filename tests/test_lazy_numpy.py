@@ -1,4 +1,5 @@
-"""numpy is imported on first array use (``citenet._numpy``).
+"""numpy is imported on first array use (``citenet._numpy``), and each
+citenet module when a command first runs it.
 
 Each test runs in a fresh interpreter, where numpy is not yet imported.
 """
@@ -15,11 +16,15 @@ from laureate_fixture import SUBJECT_NAMES
 TESTS = Path(__file__).resolve().parent
 DATA = TESTS / "data"
 SRC = TESTS.parent / "src"
+BENCH = TESTS.parent / "bench"
 
 
-def run_fresh(script: str, *args: str) -> subprocess.CompletedProcess:
+def run_fresh(script: str, *args: str, path: tuple[Path, ...] = ()) -> subprocess.CompletedProcess:
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), *map(str, path), env.get("PYTHONPATH")])
+    )
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
     return subprocess.run(
         [sys.executable, "-c", script, *args],
         env=env, capture_output=True, text=True, timeout=120,
@@ -80,4 +85,56 @@ def test_threads_racing_the_first_import_all_get_numpy():
         assert results == list(range(1, n + 1)), results
     """)
     run = run_fresh(script)
+    assert run.returncode == 0, run.stderr
+
+
+def test_cli_import_loads_errors_and_graph_only():
+    # Compared with the modules loaded before the import, since site
+    # hooks may import some of these stdlib modules at start-up.
+    script = textwrap.dedent("""
+        import sys
+        before = set(sys.modules)
+        import citenet.cli
+        loaded = set(sys.modules) - before
+        ours = sorted(name for name in loaded if name.split(".")[0] == "citenet")
+        assert ours == ["citenet", "citenet._numpy", "citenet.cli", "citenet.errors",
+                        "citenet.graph"], ours
+        heavy = sorted(loaded & {"numpy", "statistics", "random", "decimal", "json"})
+        assert heavy == [], heavy
+    """)
+    run = run_fresh(script)
+    assert run.returncode == 0, run.stderr
+
+
+def test_commands_load_only_the_modules_they_run(tmp_path):
+    out = ["--out-dir", str(tmp_path)]
+    commands = [
+        ["study", "sample", "--docs", str(DATA / "laureates_authors" / "docs.csv"),
+         "--author", SUBJECT_NAMES[0], *out],
+        ["h-index", "--profile", str(DATA / "profile.csv"), *out],
+    ]
+    script = textwrap.dedent("""
+        import json, sys
+        import citenet.cli
+        for args in json.loads(sys.argv[1]):
+            assert citenet.cli.main(args) == 0, args
+        unused = sorted({"citenet.ranking", "citenet.concentration"} & set(sys.modules))
+        assert unused == [], unused
+    """)
+    run = run_fresh(script, json.dumps(commands))
+    assert run.returncode == 0, run.stderr
+    assert (tmp_path / "h-index.txt").exists()
+
+
+def test_bench_tracer_targets_exist_after_cli_import():
+    # bench/tracing.py patches these attributes after a warm-up pass; each
+    # must be a module or class attribute once citenet.cli is imported.
+    script = textwrap.dedent("""
+        import citenet, citenet.cli
+        from tracing import _targets
+        missing = [f"{owner.__name__}.{attr}" for owner, attr, _ in _targets(citenet)
+                   if attr not in vars(owner)]
+        assert missing == [], missing
+    """)
+    run = run_fresh(script, path=(BENCH,))
     assert run.returncode == 0, run.stderr
