@@ -18,7 +18,7 @@ _EXPORTS = {
         "count_above_threshold", "journals_for_share", "share_curve", "stability_overlap",
     ),
     "errors": ("CitenetError", "DataError", "UndefinedMetricError"),
-    "formats": ("CorpusBundle", "load_corpus", "write_docs", "write_edges", "write_journal_matrix"),
+    "formats": ("CorpusBundle", "load_corpus", "write_edges"),
     "graph": (
         "CitationGraph", "DocType", "DocumentRecord", "JournalCitationMatrix", "TimeWindow",
         "aggregate_to_journal_matrix", "build_graph",

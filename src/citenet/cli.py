@@ -225,6 +225,36 @@ def _load_graph(args: argparse.Namespace) -> CitationGraph:
     return bundle.graph
 
 
+def _option_value(args: argparse.Namespace, option: str, parse):
+    """``parse`` of ``option``'s text, or None when the option is not given.
+
+    A text that ``parse`` rejects with ValueError is a usage error, so a
+    bad value is reported before any input file is read.
+    """
+    text = getattr(args, option[2:].replace("-", "_"))
+    if not text:
+        return None
+    try:
+        return parse(text)
+    except ValueError:
+        raise _UsageError(f"citenet {args.command}: bad {option} {text!r}") from None
+
+
+def _year_range(text: str) -> tuple[int, int]:
+    first, last = (int(y) for y in text.split(":"))
+    return first, last
+
+
+def _check_matrix_alone(args: argparse.Namespace) -> None:
+    """With --matrix, the graph-source options are a usage error."""
+    options = ("--edges", "--docs", "--cite-year", "--source-years")
+    given = [o for o in options if getattr(args, o[2:].replace("-", "_"), None) is not None]
+    if args.matrix is not None and given:
+        raise _UsageError(
+            f"citenet {args.command}: --matrix cannot be combined with {', '.join(given)}"
+        )
+
+
 def _ranked_table(
     title: str, columns: tuple[str, ...], cell_formats: tuple[str, ...], rows: Iterable, **notes
 ) -> StudyTable:
@@ -334,6 +364,7 @@ def _cmd_hits(args) -> tuple[list[tuple[str, StudyTable]], int]:
 def _cmd_influence(args) -> tuple[list[tuple[str, StudyTable]], int]:
     from . import formats, ranking
 
+    _check_matrix_alone(args)
     ranking.check_stopping(args.tol, args.max_iter)
     if args.matrix is not None:
         matrix = formats.read_journal_matrix(args.matrix)
@@ -342,16 +373,8 @@ def _cmd_influence(args) -> tuple[list[tuple[str, StudyTable]], int]:
             raise _UsageError(
                 "citenet influence: give --matrix, or graph inputs with --cite-year"
             )
-        if args.source_years:
-            try:
-                first, last = (int(y) for y in args.source_years.split(":"))
-            except ValueError:
-                raise _UsageError(
-                    f"citenet influence: bad --source-years {args.source_years!r}"
-                ) from None
-            window = TimeWindow(args.cite_year, (first, last))
-        else:
-            window = TimeWindow.two_year(args.cite_year)
+        years = _option_value(args, "--source-years", _year_range)
+        window = TimeWindow(args.cite_year, years) if years else TimeWindow.two_year(args.cite_year)
         matrix = aggregate_to_journal_matrix(_load_graph(args), window)
         if matrix.dropped:
             _warn(["dropped journals without window publications: " + ", ".join(matrix.dropped)])
@@ -383,6 +406,7 @@ def _cmd_influence(args) -> tuple[list[tuple[str, StudyTable]], int]:
 def _cmd_total_cites(args) -> tuple[list[tuple[str, StudyTable]], int]:
     from . import concentration, formats, metrics
 
+    _check_matrix_alone(args)
     if args.matrix is not None:
         matrix = formats.read_journal_matrix(args.matrix)
         counts = dict(zip(matrix.journals, matrix.citation_totals().tolist()))
@@ -406,10 +430,10 @@ def _cmd_total_cites(args) -> tuple[list[tuple[str, StudyTable]], int]:
 def _cmd_impact_factor(args) -> tuple[list[tuple[str, StudyTable]], int]:
     from . import metrics, ranking
 
+    doc_types = _option_value(
+        args, "--doc-types", lambda text: [DocType(t.strip()) for t in text.split(",") if t.strip()]
+    )
     graph = _load_graph(args)
-    doc_types = None
-    if args.doc_types:
-        doc_types = [DocType(t.strip()) for t in args.doc_types.split(",") if t.strip()]
     if args.journal:
         value = metrics.impact_factor_from_graph(graph, args.journal, args.cite_year, doc_types)
         values, excluded = {args.journal: value}, ()
@@ -450,11 +474,9 @@ def _cmd_bradford(args) -> tuple[list[tuple[str, StudyTable]], int]:
     from . import concentration
     from .study import StudyTable
 
+    targets = _option_value(args, "--targets", lambda text: [float(t) for t in text.split(",")])
     graph = _load_graph(args)
     ranked = _ranked_counts(graph, args.by, args.cite_year)
-    targets = None
-    if args.targets:
-        targets = [float(t) for t in args.targets.split(",")]
     partition = concentration.bradford_partition(ranked, k=args.zones, targets=targets)
     rows = tuple(
         (i, zone.journal_count, zone.item_count)

@@ -10,7 +10,7 @@ small.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 from .errors import DataError
@@ -30,9 +30,8 @@ class RankedCounts:
             raise DataError("counts must be nonnegative")
 
     @classmethod
-    def from_counts(cls, counts: Mapping[str, int] | Iterable[tuple[str, int]]) -> "RankedCounts":
-        pairs = counts.items() if isinstance(counts, Mapping) else counts
-        return cls(tuple(sorted(pairs, key=lambda kv: (-kv[1], kv[0]))))
+    def from_counts(cls, counts: Mapping[str, int]) -> "RankedCounts":
+        return cls(tuple(sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))))
 
     @property
     def total(self) -> int:

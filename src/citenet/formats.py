@@ -319,23 +319,3 @@ def write_edges(graph: CitationGraph, path: Path) -> None:
         rows = zip(np.repeat(src, mult).tolist(), np.repeat(dst, mult).tolist())
         writer.writerows((graph.nodes[u], graph.nodes[v]) for u, v in rows)
 
-
-def write_docs(graph: CitationGraph, path: Path) -> None:
-    """Write the document records sorted by id."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id", "venue", "year", "doc_type", "cites", "authors"])
-        for doc_id in sorted(graph.metadata):
-            doc = graph.metadata[doc_id]
-            writer.writerow(
-                [doc.id, doc.venue, doc.year, doc.doc_type.value, doc.cites, ";".join(doc.authors)]
-            )
-
-
-def write_journal_matrix(matrix: JournalCitationMatrix, path: Path) -> None:
-    """Write a journal matrix in the journal,<journal...>,pubs layout."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["journal", *matrix.journals, "pubs"])
-        for i, journal in enumerate(matrix.journals):
-            writer.writerow([journal, *matrix.counts[i].tolist(), int(matrix.pubs[i])])

@@ -270,13 +270,12 @@ class _InternedEdges:
 def build_graph(
     edge_list: Iterable[tuple[str, str]],
     docs: Sequence[DocumentRecord] | None = None,
-    allow_self_loops: bool = False,
 ) -> CitationGraph:
     """Build a :class:`CitationGraph` from (citing, cited) pairs.
 
-    Duplicate pairs accumulate multiplicity. Self-loops are rejected
-    unless ``allow_self_loops`` is set. Nodes are the union of edge
-    endpoints and document ids; an empty edge list is accepted.
+    Duplicate pairs accumulate multiplicity. Self-loops are rejected, as
+    ``load_corpus`` skips them. Nodes are the union of edge endpoints and
+    document ids; an empty edge list is accepted.
     """
     if isinstance(edge_list, _InternedEdges):  # load_corpus's rows skip the checks below
         codes, pairs = dict(edge_list.codes), edge_list.pairs
@@ -285,8 +284,8 @@ def build_graph(
         for citing, cited in edge_list:
             if not citing or not cited:
                 raise DataError(f"edge ({citing!r}, {cited!r}) has an empty endpoint")
-            if citing == cited and not allow_self_loops:
-                raise DataError(f"self-loop on {citing!r} (pass allow_self_loops=True to keep)")
+            if citing == cited:
+                raise DataError(f"self-loop on {citing!r}")
             pairs += (codes.setdefault(citing, len(codes)), codes.setdefault(cited, len(codes)))
 
     metadata: dict[str, DocumentRecord] = {}
@@ -332,7 +331,6 @@ class JournalCitationMatrix:
     journals: tuple[str, ...]
     counts: np.ndarray
     pubs: np.ndarray
-    window: TimeWindow | None = None
     dropped: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -359,7 +357,6 @@ class JournalCitationMatrix:
             return NotImplemented
         return (
             self.journals == other.journals
-            and self.window == other.window
             and self.dropped == other.dropped
             and np.array_equal(self.counts, other.counts)
             and np.array_equal(self.pubs, other.pubs)
@@ -381,22 +378,7 @@ class JournalCitationMatrix:
         """Copy with the diagonal (journal self-citations) zeroed."""
         counts = self.counts.copy()
         np.fill_diagonal(counts, 0)
-        return JournalCitationMatrix(self.journals, counts, self.pubs, self.window, self.dropped)
-
-    def restrict_to(self, journals: Sequence[str]) -> "JournalCitationMatrix":
-        """Square submatrix over ``journals`` (kept in matrix order)."""
-        wanted = set(journals)
-        unknown = sorted(wanted - set(self.journals))
-        if unknown:
-            raise DataError(f"unknown journals: {', '.join(unknown)}")
-        idx = [i for i, j in enumerate(self.journals) if j in wanted]
-        return JournalCitationMatrix(
-            tuple(self.journals[i] for i in idx),
-            self.counts[np.ix_(idx, idx)],
-            self.pubs[idx],
-            self.window,
-            self.dropped,
-        )
+        return JournalCitationMatrix(self.journals, counts, self.pubs, self.dropped)
 
     def without_nonreferencing(self) -> tuple["JournalCitationMatrix", tuple[str, ...]]:
         """Copy without the journals that give no references, and their names.
@@ -408,12 +390,16 @@ class JournalCitationMatrix:
         """
         matrix, pruned = self, []
         while True:
-            refs = matrix.reference_totals()
-            silent = [j for j, r in zip(matrix.journals, refs) if r == 0]
-            if not silent:
+            keep = matrix.reference_totals() > 0
+            if keep.all():
                 return matrix, tuple(pruned)
-            pruned += silent
-            matrix = matrix.restrict_to([j for j, r in zip(matrix.journals, refs) if r])
+            pruned += compress(matrix.journals, (~keep).tolist())
+            matrix = JournalCitationMatrix(
+                tuple(compress(matrix.journals, keep.tolist())),
+                matrix.counts[np.ix_(keep, keep)],
+                matrix.pubs[keep],
+                matrix.dropped,
+            )
 
 
 def aggregate_to_journal_matrix(
@@ -470,6 +456,5 @@ def aggregate_to_journal_matrix(
         journals=journals,
         counts=counts,
         pubs=pubs[kept],
-        window=window,
         dropped=dropped,
     )

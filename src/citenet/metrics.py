@@ -10,7 +10,6 @@ from typing import NamedTuple
 from ._numpy import np
 from .errors import DataError, UndefinedMetricError
 from .graph import CitationGraph, DocType, TimeWindow
-from .graph import normalize_author as normalize_author  # re-exported
 
 
 @dataclass(frozen=True)

@@ -227,8 +227,9 @@ def influence_weights(
     unchanged.
 
     Journals that give no references (r_j = 0) leave the ratio undefined
-    and must be pruned first (see ``JournalCitationMatrix.restrict_to``);
-    they are reported in the error.
+    and must be pruned first (see
+    ``JournalCitationMatrix.without_nonreferencing``); they are reported
+    in the error.
     """
     if normalization not in _NORMALIZATIONS:
         raise DataError(f"unknown normalization {normalization!r}; use one of {_NORMALIZATIONS}")

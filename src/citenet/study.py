@@ -140,7 +140,7 @@ def midpoint_median(values: Sequence[int | float]) -> float | None:
 
 
 def stratified_every_kth(
-    docs: Sequence[DocumentRecord], k: int, offset: int | None = None, seed: int | None = None
+    docs: Sequence[DocumentRecord], k: int, *, seed: int | None = None
 ) -> list[DocumentRecord]:
     """Every k-th document starting from the most cited.
 
@@ -154,14 +154,11 @@ def stratified_every_kth(
     keys = [(-d.cites, d.id) for d in docs]
     if keys != sorted(keys):
         raise DataError("documents are not sorted by cites descending (ties by id)")
-    if offset is None:
-        offset = 0
-        if seed is not None:
-            import random
+    offset = 0
+    if seed is not None:
+        import random
 
-            offset = random.Random(seed).randrange(k)
-    if not 0 <= offset < k:
-        raise DataError(f"offset must be in [0, {k}), got {offset}")
+        offset = random.Random(seed).randrange(k)
     return list(docs[offset::k])
 
 

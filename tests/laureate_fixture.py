@@ -262,7 +262,7 @@ def build_authors_corpus() -> list[DocumentRecord]:
 
 
 def docs_by_subject(docs: list[DocumentRecord]) -> dict[str, list[DocumentRecord]]:
-    from citenet.metrics import normalize_author
+    from citenet.graph import normalize_author
 
     grouped: dict[str, list[DocumentRecord]] = {name: [] for name in SUBJECT_NAMES}
     for doc in docs:

@@ -304,10 +304,43 @@ class TestExitCodes:
                 2,
                 "citenet: error: source_years (2012, 2010) not an increasing range",
             ),
+            (
+                ["bradford", "--cite-year", "2005", "--targets", "abc"],
+                1,
+                "citenet bradford: bad --targets 'abc'",
+            ),
+            (
+                ["bradford", "--cite-year", "2005", "--targets", "abc", *MISSING_INPUTS],
+                1,
+                "citenet bradford: bad --targets 'abc'",
+            ),
+            (
+                ["impact-factor", "--cite-year", "2005", "--doc-types", "bogus"],
+                1,
+                "citenet impact-factor: bad --doc-types 'bogus'",
+            ),
+            (
+                ["impact-factor", "--cite-year", "2005", "--doc-types", "bogus", *MISSING_INPUTS],
+                1,
+                "citenet impact-factor: bad --doc-types 'bogus'",
+            ),
+            # --matrix excludes the graph-source options; nothing is read.
+            (
+                ["influence", "--matrix", str(DATA / "matrix2.csv"), "--cite-year", "1",
+                 "--source-years", "bad"],
+                1,
+                "citenet influence: --matrix cannot be combined with --cite-year, --source-years",
+            ),
+            (
+                ["total-cites", "--matrix", str(DATA / "matrix2.csv"),
+                 "--edges", str(DATA / "missing" / "edges.csv"), "--cite-year", "5"],
+                1,
+                "citenet total-cites: --matrix cannot be combined with --edges, --cite-year",
+            ),
         ],
     )
     def test_bad_option_value(self, args, code, err, capsys):
-        if args[0] != "study" and "--edges" not in args:
+        if args[0] != "study" and "--edges" not in args and "--matrix" not in args:
             args = [*args, "--edges", str(DATA / "mini" / "edges.csv"),
                     "--docs", str(DATA / "mini" / "docs.csv")]
         assert main(args) == code

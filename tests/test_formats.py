@@ -12,7 +12,6 @@ from citenet import (
     DocumentRecord,
     build_graph,
     load_corpus,
-    write_docs,
     write_edges,
 )
 from citenet.formats import (
@@ -227,7 +226,7 @@ class TestMatrixFile:
             read_journal_matrix(path)
 
     def test_matrix_round_trip(self, tmp_path):
-        from citenet import JournalCitationMatrix, write_journal_matrix
+        from citenet import JournalCitationMatrix
 
         matrix = JournalCitationMatrix(
             ("Alpha", "Beta", "Gamma"),
@@ -235,7 +234,7 @@ class TestMatrixFile:
             np.array([7, 2, 9]),
         )
         path = tmp_path / "m.csv"
-        write_journal_matrix(matrix, path)
+        path.write_text("journal,Alpha,Beta,Gamma,pubs\nAlpha,1,4,0,7\nBeta,2,0,3,2\nGamma,0,0,5,9\n")
         assert read_journal_matrix(path) == matrix
 
 
@@ -334,13 +333,16 @@ class TestRoundTrip:
                            doc_type=DocType.REVIEW, cites=9),
             DocumentRecord("b", "K", 2001),
         ]
-        graph = build_graph([("a", "b")], docs=docs)
         edges_path = tmp_path / "edges.csv"
         docs_path = tmp_path / "docs.csv"
-        write_edges(graph, edges_path)
-        write_docs(graph, docs_path)
+        edges_path.write_text("citing_id,cited_id\na,b\n")
+        docs_path.write_text(
+            "id,venue,year,doc_type,cites,authors\n"
+            'a,"J, with comma",2000,review,9,X. One;Y. Two\n'
+            "b,K,2001,article,0,\n"
+        )
         bundle = load_corpus(edges=edges_path, docs=docs_path, strict=True)
-        assert bundle.graph == graph
+        assert bundle.graph == build_graph([("a", "b")], docs=docs)
 
     def test_written_files_are_byte_stable(self, tmp_path):
         graph = build_graph([("a", "b"), ("b", "c")])
@@ -351,13 +353,11 @@ class TestRoundTrip:
 
     def test_quoting_is_bit_exact(self, tmp_path):
         # Minimal quoting, doubled inner quotes, LF endings.
-        docs = [
-            DocumentRecord("a", 'J "Q", vol 1', 2000, authors=("X One", "Y Two")),
-        ]
-        graph = build_graph([], docs=docs)
         path = tmp_path / "docs.csv"
-        write_docs(graph, path)
-        assert path.read_bytes() == (
+        path.write_bytes(
             b"id,venue,year,doc_type,cites,authors\n"
             b'a,"J ""Q"", vol 1",2000,article,0,X One;Y Two\n'
+        )
+        assert read_docs(path, strict=True) == (
+            [DocumentRecord("a", 'J "Q", vol 1', 2000, authors=("X One", "Y Two"))], []
         )

@@ -153,7 +153,7 @@ def ref_aggregate(graph, window, zero_diagonal=False):
     if zero_diagonal:
         np.fill_diagonal(counts, 0)
     return JournalCitationMatrix(
-        journals, counts, np.array([pubs[j] for j in journals], dtype=np.int64), window, dropped
+        journals, counts, np.array([pubs[j] for j in journals], dtype=np.int64), dropped
     )
 
 
