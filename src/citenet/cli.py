@@ -228,16 +228,20 @@ def _load_graph(args: argparse.Namespace) -> CitationGraph:
 def _option_value(args: argparse.Namespace, option: str, parse):
     """``parse`` of ``option``'s text, or None when the option is not given.
 
-    A text that ``parse`` rejects with ValueError is a usage error, so a
-    bad value is reported before any input file is read.
+    A text that ``parse`` rejects with ValueError, or parses to an empty
+    list, is a usage error, so a bad value is reported before any input
+    file is read.
     """
     text = getattr(args, option[2:].replace("-", "_"))
     if not text:
         return None
     try:
-        return parse(text)
+        value = parse(text)
     except ValueError:
-        raise _UsageError(f"citenet {args.command}: bad {option} {text!r}") from None
+        value = None
+    if not value:  # rejected, or an empty list
+        raise _UsageError(f"citenet {args.command}: bad {option} {text!r}")
+    return value
 
 
 def _year_range(text: str) -> tuple[int, int]:

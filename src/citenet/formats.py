@@ -21,7 +21,7 @@ from __future__ import annotations
 import codecs
 import csv
 import io
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING
 from ._numpy import np
 from .errors import DataError
 from .graph import CitationGraph, DocType, DocumentRecord, JournalCitationMatrix, build_graph
-from .graph import _InternedEdges
+from .graph import _check_document, _DocColumns, _InternedEdges
 
 if TYPE_CHECKING:
     from .metrics import CitationProfile
@@ -37,6 +37,8 @@ if TYPE_CHECKING:
 
 _TRUE = {"true", "1", "yes", "y"}
 _FALSE = {"false", "0", "no", "n"}
+_FLAGS = _TRUE | _FALSE
+_DOC_TYPES = {"": DocType.OTHER} | {t.value: t for t in DocType}  # an empty type is OTHER
 
 
 @dataclass
@@ -133,33 +135,33 @@ def read_edges(path: Path, strict: bool = False) -> tuple[list[tuple[str, str]],
     return [(ids[u], ids[v]) for u, v in zip(pairs[::2], pairs[1::2])], warnings
 
 
-def read_docs(path: Path, strict: bool = False) -> tuple[list[DocumentRecord], list[str]]:
+def read_docs(path: Path, strict: bool = False) -> tuple[Sequence[DocumentRecord], list[str]]:
+    """The well-formed rows of a docs file, checked as :class:`DocumentRecord`
+    checks them but held as columns; each record is built when read."""
     reader = _RowReader(path, strict, ["id", "venue", "year", "doc_type", "cites", "authors"])
-    docs: list[DocumentRecord] = []
+    rows: list[tuple] = []
     seen: set[str] = set()
-    for lineno, row in reader:
-        if len(row) != 6:
-            reader.complain(lineno, f"expected 6 fields, got {len(row)}")
+    for lineno, row in reader.records:
+        if len(row) != 6 or not any(row):
+            if any(row):
+                reader.complain(lineno, f"expected 6 fields, got {len(row)}")
             continue
         doc_id, venue, year_s, type_s, cites_s, authors_s = row
         try:
-            doc = DocumentRecord(
-                id=doc_id,
-                venue=venue,
-                year=int(year_s),
-                doc_type=DocType(type_s) if type_s else DocType.OTHER,
-                cites=int(cites_s) if cites_s else 0,
-                authors=tuple(a.strip() for a in authors_s.split(";") if a.strip()),
-            )
+            year = int(year_s)
+            doc_type = _DOC_TYPES.get(type_s) or DocType(type_s)
+            cites = int(cites_s) if cites_s else 0
+            authors = tuple(filter(None, map(str.strip, authors_s.split(";"))))
+            _check_document(doc_id, year, authors, cites)
         except (ValueError, DataError) as exc:
             reader.complain(lineno, str(exc))
             continue
-        if doc.id in seen:
-            reader.complain(lineno, f"duplicate document id {doc.id!r}")
+        if doc_id in seen:
+            reader.complain(lineno, f"duplicate document id {doc_id!r}")
             continue
-        seen.add(doc.id)
-        docs.append(doc)
-    return docs, reader.warnings
+        seen.add(doc_id)
+        rows.append((doc_id, venue, year, authors, doc_type, cites))
+    return _DocColumns(rows), reader.warnings
 
 
 def read_rank_records(path: Path, strict: bool = False) -> tuple[list[RankRecord], list[str]]:
@@ -176,7 +178,7 @@ def read_rank_records(path: Path, strict: bool = False) -> tuple[list[RankRecord
             reader.complain(lineno, f"malformed rank row {row!r}")
             continue
         flag = row[2].strip().casefold()
-        if flag not in _TRUE | _FALSE:
+        if flag not in _FLAGS:
             reader.complain(lineno, f"indexed flag must be true/false, got {row[2]!r}")
             continue
         try:
@@ -286,13 +288,13 @@ def load_corpus(
     codes, lines, pairs, warnings = (
         _read_edges_with_lines(edges, strict) if edges is not None else ({}, [], [], [])
     )
-    doc_rows, notes = read_docs(docs, strict) if docs is not None else ([], [])
+    doc_rows, notes = read_docs(docs, strict) if docs is not None else (_DocColumns(()), [])
     warnings += notes
     if pairs:  # an edgeless corpus builds no arrays
         ids = list(codes)
         pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
         known = np.full(len(ids), docs is None)
-        known[[codes[d.id] for d in doc_rows if d.id in codes]] = True
+        known[[codes[doc_id] for doc_id in doc_rows.ids if doc_id in codes]] = True
         # Dangling notes come before self-loop notes, so in strict mode
         # the first dangling row wins over an earlier self-loop.
         dangling = np.flatnonzero(~known[pairs].all(axis=1)).tolist()

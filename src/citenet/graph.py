@@ -55,17 +55,52 @@ class DocumentRecord:
     cites: int = 0
 
     def __post_init__(self) -> None:
-        if not self.id:
-            raise DataError("document id must be nonempty")
         object.__setattr__(self, "authors", tuple(self.authors))
-        if not isinstance(self.year, int) or self.year <= 0:
-            raise DataError(f"document {self.id!r}: year must be a positive integer")
-        if self.year >= 2**63:  # the graph's node columns hold years as int64
-            raise DataError(f"document {self.id!r}: year {self.year} is out of range")
-        if any(not a.strip() for a in self.authors):
-            raise DataError(f"document {self.id!r}: author names must be nonempty")
-        if self.cites < 0:
-            raise DataError(f"document {self.id!r}: cites must be >= 0")
+        _check_document(self.id, self.year, self.authors, self.cites)
+
+
+def _check_document(doc_id: str, year: int, authors: tuple[str, ...], cites: int) -> None:
+    """Reject a document field outside its domain: the checks of
+    :class:`DocumentRecord`, which ``formats.read_docs`` runs on each row
+    without building a record."""
+    if not doc_id:
+        raise DataError("document id must be nonempty")
+    if not isinstance(year, int) or year <= 0:
+        raise DataError(f"document {doc_id!r}: year must be a positive integer")
+    if year >= 2**63:  # the graph's node columns hold years as int64
+        raise DataError(f"document {doc_id!r}: year {year} is out of range")
+    if not all(map(str.strip, authors)):
+        raise DataError(f"document {doc_id!r}: author names must be nonempty")
+    if cites < 0:
+        raise DataError(f"document {doc_id!r}: cites must be >= 0")
+
+
+class _DocColumns(Sequence):
+    """Checked documents as parallel tuples, one per :class:`DocumentRecord`
+    field in field order; item ``i`` is built as a record when read.
+
+    Raises :class:`DataError` on a duplicate id.
+    """
+
+    def __init__(self, rows: Iterable[tuple]) -> None:
+        self.ids, self.venues, self.years, self.authors, self.doc_types, self.cites = (
+            tuple(zip(*rows)) or ((),) * 6
+        )
+        if len(set(self.ids)) < len(self.ids):
+            seen: set[str] = set()
+            duplicate = next(i for i in self.ids if i in seen or seen.add(i))
+            raise DataError(f"duplicate document id {duplicate!r}")
+
+    @classmethod
+    def of(cls, docs: Iterable[DocumentRecord]) -> "_DocColumns":
+        return cls((d.id, d.venue, d.year, d.authors, d.doc_type, d.cites) for d in docs)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i: int) -> DocumentRecord:
+        return DocumentRecord(self.ids[i], self.venues[i], self.years[i], self.authors[i],
+                              self.doc_types[i], self.cites[i])
 
 
 @dataclass(frozen=True)
@@ -104,17 +139,19 @@ class CitationGraph:
     and never imports numpy on its own.
 
     ``edges`` lists the same entries as (citing, cited, multiplicity)
-    string tuples, derived from the arrays on first read.
+    string tuples, derived from the arrays on first read. The documents
+    are held as columns beside the arrays, and ``metadata`` maps each id
+    to its :class:`DocumentRecord`, built from them on first read.
     ``CitationGraph(nodes, edges, metadata)`` builds the arrays from
-    such tuples, in the order given; ``build_graph`` is the usual way
-    to make a graph.
+    such tuples, in the order given, and the columns from the records;
+    ``build_graph`` is the usual way to make a graph.
     """
 
     nodes: tuple[str, ...]
     src: np.ndarray | None
     dst: np.ndarray | None
     mult: np.ndarray | None
-    metadata: Mapping[str, DocumentRecord]
+    _docs: _DocColumns
 
     def __init__(
         self,
@@ -124,13 +161,13 @@ class CitationGraph:
     ) -> None:
         object.__setattr__(self, "nodes", tuple(nodes))
         index = self._node_index
-        self._set_edges(metadata, *zip(*((index[u], index[v], m) for u, v, m in edges)))
+        docs = _DocColumns.of((metadata or {}).values())
+        self._set_edges(docs, *zip(*((index[u], index[v], m) for u, v, m in edges)))
 
-    def _set_edges(self, metadata: Mapping[str, DocumentRecord] | None, *arrays) -> None:
-        """Set ``metadata`` and, given (src, dst, mult) int sequences, the arrays."""
+    def _set_edges(self, docs: _DocColumns, *arrays) -> None:
+        """Set the document columns and, given (src, dst, mult) int sequences, the arrays."""
         arrays = [np.array(a, dtype=np.int64) for a in arrays] or [None] * 3
-        values = ({} if metadata is None else metadata, *arrays)
-        for name, value in zip(("metadata", "src", "dst", "mult"), values):
+        for name, value in zip(("_docs", "src", "dst", "mult"), (docs, *arrays)):
             object.__setattr__(self, name, value)
 
     def __eq__(self, other: object) -> bool:
@@ -143,6 +180,11 @@ class CitationGraph:
     @cached_property
     def _node_index(self) -> dict[str, int]:
         return {node: i for i, node in enumerate(self.nodes)}
+
+    @cached_property
+    def metadata(self) -> dict[str, DocumentRecord]:
+        """Document records by id, in the order they were given."""
+        return {doc.id: doc for doc in self._docs}
 
     @cached_property
     def edges(self) -> tuple[tuple[str, str, int], ...]:
@@ -197,7 +239,7 @@ class CitationGraph:
 
     @cached_property
     def _journals(self) -> tuple[str, ...]:
-        return tuple(sorted({d.venue for d in self.metadata.values() if d.venue}))
+        return tuple(sorted(set(self._docs.venues) - {""}))
 
     @cached_property
     def _journal_codes(self) -> dict[str, int]:
@@ -228,16 +270,17 @@ class CitationGraph:
         journal = np.full(n, -1, dtype=np.int64)
         year = np.zeros(n, dtype=np.int64)
         doc_type = np.full(n, -1, dtype=np.int64)
-        idx = self._node_index
+        docs, idx = self._docs, self._node_index
+        try:
+            at = [idx[doc_id] for doc_id in docs.ids]
+        except KeyError as exc:
+            doc_id = exc.args[0]
+            raise DataError(f"document {doc_id!r} has a record but is not a graph node") from None
         codes = self._journal_codes
         type_codes = {t: code for code, t in enumerate(DocType)}
-        for doc_id, doc in self.metadata.items():
-            i = idx.get(doc_id)
-            if i is None:
-                raise DataError(f"document {doc_id!r} has a record but is not a graph node")
-            journal[i] = codes.get(doc.venue, -1)
-            year[i] = doc.year
-            doc_type[i] = type_codes[doc.doc_type]
+        journal[at] = [codes.get(venue, -1) for venue in docs.venues]
+        year[at] = docs.years
+        doc_type[at] = [type_codes[t] for t in docs.doc_types]
         return journal, year, doc_type
 
     def docs_by_author(self, author: str) -> tuple[DocumentRecord, ...]:
@@ -246,15 +289,17 @@ class CitationGraph:
         Names match exactly after :func:`normalize_author`; a document
         naming the author twice is listed once.
         """
-        return self._author_index.get(normalize_author(author), ())
+        positions = self._author_index.get(normalize_author(author), ())
+        return tuple(map(self._docs.__getitem__, positions))
 
     @cached_property
-    def _author_index(self) -> dict[str, tuple[DocumentRecord, ...]]:
-        index: dict[str, list[DocumentRecord]] = {}
-        for doc in self.metadata.values():
-            for name in dict.fromkeys(normalize_author(a) for a in doc.authors):
-                index.setdefault(name, []).append(doc)
-        return {name: tuple(docs) for name, docs in index.items()}
+    def _author_index(self) -> dict[str, list[int]]:
+        """Normalized author name -> positions of the documents naming it."""
+        index: dict[str, list[int]] = {}
+        for i, authors in enumerate(self._docs.authors):
+            for name in dict.fromkeys(map(normalize_author, authors)):
+                index.setdefault(name, []).append(i)
+        return index
 
 
 @dataclass(frozen=True)
@@ -288,15 +333,12 @@ def build_graph(
                 raise DataError(f"self-loop on {citing!r}")
             pairs += (codes.setdefault(citing, len(codes)), codes.setdefault(cited, len(codes)))
 
-    metadata: dict[str, DocumentRecord] = {}
-    doc_codes: list[int] = []
-    for doc in docs or ():
-        if doc.id in metadata:
-            raise DataError(f"duplicate document id {doc.id!r}")
-        metadata[doc.id] = doc
-        doc_codes.append(codes.setdefault(doc.id, len(codes)))
+    docs = docs if isinstance(docs, _DocColumns) else _DocColumns.of(docs or ())
     if not len(pairs):  # a docs-only graph needs no arrays
-        return CitationGraph(sorted(metadata), metadata=metadata)
+        graph = CitationGraph(sorted(docs.ids))
+        graph._set_edges(docs)
+        return graph
+    doc_codes = [codes.setdefault(doc_id, len(codes)) for doc_id in docs.ids]
 
     # Only the ids in use are sorted (load_corpus interns the ids of rows it
     # then skips); rank renumbers their codes into that order, so the pair
@@ -312,7 +354,7 @@ def build_graph(
     src, dst = rank[pairs].T
     keys, mult = np.unique(src * n + dst, return_counts=True)
     graph = CitationGraph(map(ids.__getitem__, order))
-    graph._set_edges(metadata, *divmod(keys, n), mult)
+    graph._set_edges(docs, *divmod(keys, n), mult)
     return graph
 
 

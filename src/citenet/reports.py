@@ -41,19 +41,20 @@ def _formatted_rows(table: StudyTable) -> list[list[str]]:
     ]
 
 
-def render_csv(table: StudyTable) -> str:
+def render_csv(table: StudyTable, rows: list[list[str]] | None = None) -> str:
     """Header plus data rows; summary lines and footnotes are omitted
-    (see the text and JSON renderings)."""
+    (see the text and JSON renderings). ``rows``, when given, is
+    ``_formatted_rows(table)``, as for :func:`render_text`."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(table.columns)
-    for row in _formatted_rows(table):
-        writer.writerow(row)
+    writer.writerows(_formatted_rows(table) if rows is None else rows)
     return buffer.getvalue()
 
 
-def render_text(table: StudyTable) -> str:
-    rows = _formatted_rows(table)
+def render_text(table: StudyTable, rows: list[list[str]] | None = None) -> str:
+    if rows is None:
+        rows = _formatted_rows(table)
     widths = [
         max(len(name), *(len(row[i]) for row in rows)) if rows else len(name)
         for i, name in enumerate(table.columns)
@@ -94,12 +95,13 @@ def write_report(
 ) -> list[Path]:
     """Write <name>.csv and <name>.txt (and <name>.json when asked)."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    renderers = [(".csv", render_csv), (".txt", render_text)]
+    rows = _formatted_rows(table)  # formatted once for both renderings
+    texts = [(".csv", render_csv(table, rows)), (".txt", render_text(table, rows))]
     if include_json:
-        renderers.append((".json", render_json))
+        texts.append((".json", render_json(table)))
     written = []
-    for suffix, renderer in renderers:
+    for suffix, text in texts:
         path = out_dir / f"{name}{suffix}"
-        path.write_text(renderer(table), encoding="utf-8")
+        path.write_text(text, encoding="utf-8")
         written.append(path)
     return written

@@ -13,10 +13,10 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
+from itertools import groupby
+from operator import mul
 
-from ._numpy import np
 from .errors import DataError, UndefinedMetricError
 from .graph import DocType, DocumentRecord, normalize_author
 
@@ -126,8 +126,8 @@ def percent(count: int, denominator: int) -> float | None:
     """
     if denominator == 0:
         return None
-    value = Decimal(count * 100) / Decimal(denominator)
-    return float(value.quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
+    # Exact tenths, half-up; int / int is correctly rounded to a float.
+    return (2000 * count + denominator) // (2 * denominator) / 10
 
 
 def midpoint_median(values: Sequence[int | float]) -> float | None:
@@ -372,12 +372,17 @@ def authorship_table(
     )
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
+def _average_ranks(values: Sequence[float]) -> list[float]:
     """Ranks 1..n with ties given the average of their positions."""
-    _, group, sizes = np.unique(values, return_inverse=True, return_counts=True)
-    end = np.cumsum(sizes)
-    start = end - sizes + 1
-    return ((start + end) / 2.0)[group]
+    ranks = [0.0] * len(values)
+    done = 0
+    by_value = sorted(range(len(values)), key=values.__getitem__)
+    for _, tied in groupby(by_value, key=values.__getitem__):
+        tied = list(tied)
+        for i in tied:
+            ranks[i] = done + (len(tied) + 1) / 2
+        done += len(tied)
+    return ranks
 
 
 def rank_correlation(
@@ -395,17 +400,17 @@ def rank_correlation(
         raise DataError(f"length mismatch: {len(xs)} vs {len(ys)}")
     if len(xs) < 3:
         raise DataError(f"need at least 3 pairs, got {len(xs)}")
-    x = np.asarray(xs, dtype=np.float64)
-    y = np.asarray(ys, dtype=np.float64)
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+    x, y = list(map(float, xs)), list(map(float, ys))
+    if not all(map(math.isfinite, x + y)):
         raise DataError("inputs must be finite")
     if method == "spearman":
-        x = _average_ranks(x)
-        y = _average_ranks(y)
-    dx = x - x.mean()
-    dy = y - y.mean()
-    sx = float(dx @ dx)
-    sy = float(dy @ dy)
-    if sx == 0.0 or sy == 0.0:
+        x, y = _average_ranks(x), _average_ranks(y)
+    # Every sum is math.fsum's, correctly rounded.
+    mean_x, mean_y = math.fsum(x) / len(x), math.fsum(y) / len(y)
+    dx, dy = [v - mean_x for v in x], [v - mean_y for v in y]
+    sx, sy = math.fsum(map(mul, dx, dx)), math.fsum(map(mul, dy, dy))
+    # A constant side's mean need not round to its value, so its deviations
+    # need not be 0.
+    if sx == 0.0 or sy == 0.0 or len(set(x)) == 1 or len(set(y)) == 1:
         raise UndefinedMetricError("correlation undefined: an input has zero variance")
-    return float((dx @ dy) / math.sqrt(sx * sy))
+    return math.fsum(map(mul, dx, dy)) / math.sqrt(sx * sy)

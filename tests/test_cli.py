@@ -337,6 +337,18 @@ class TestExitCodes:
                 1,
                 "citenet total-cites: --matrix cannot be combined with --edges, --cite-year",
             ),
+            # As 'bogus' above: only commas and blanks name no type at all,
+            # while '' means every type.
+            (
+                ["impact-factor", "--cite-year", "2005", "--doc-types", ","],
+                1,
+                "citenet impact-factor: bad --doc-types ','",
+            ),
+            (
+                ["impact-factor", "--cite-year", "2005", "--doc-types", " , ", *MISSING_INPUTS],
+                1,
+                "citenet impact-factor: bad --doc-types ' , '",
+            ),
         ],
     )
     def test_bad_option_value(self, args, code, err, capsys):
@@ -434,6 +446,32 @@ class TestCliBehaviors:
         capsys.readouterr()
         assert main(["pagerank", "--edges", str(edges)]) == 0
         assert "warning" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ["study", "sample", "--docs", str(DATA / "laureates_authors" / "docs.csv"),
+         "--author", SUBJECT_NAMES[0]],
+        rank_study_args("tc-vs-if"),
+        author_study_args("--reviews-only"),
+    ])
+    def test_study_commands_leave_metadata_underived(self, args, monkeypatch, tmp_path):
+        # A study command reads the document columns and builds records
+        # only for the documents its authors match; it builds no arrays.
+        from citenet import formats
+
+        graphs = []
+        load = formats.load_corpus
+
+        def load_corpus(*a, **kw):
+            bundle = load(*a, **kw)
+            graphs.append(bundle.graph)
+            return bundle
+
+        monkeypatch.setattr(formats, "load_corpus", load_corpus)
+        assert main([*args, "--out-dir", str(tmp_path)]) == 0
+        [graph] = graphs
+        assert "metadata" not in vars(graph)
+        assert graph.src is graph.dst is graph.mult is None
+        assert len(graph.metadata) == graph.n_nodes > 0
 
 
 def leaf_parsers(parser, prefix=()):

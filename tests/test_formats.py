@@ -358,6 +358,7 @@ class TestRoundTrip:
             b"id,venue,year,doc_type,cites,authors\n"
             b'a,"J ""Q"", vol 1",2000,article,0,X One;Y Two\n'
         )
-        assert read_docs(path, strict=True) == (
+        docs, warnings = read_docs(path, strict=True)
+        assert (list(docs), warnings) == (
             [DocumentRecord("a", 'J "Q", vol 1', 2000, authors=("X One", "Y Two"))], []
         )

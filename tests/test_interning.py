@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from citenet import DataError, DocType, DocumentRecord, build_graph, load_corpus
 from citenet.cli import main
-from citenet.formats import read_docs
+from citenet.formats import _RowReader, read_docs
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -267,3 +267,78 @@ def test_load_corpus_matches_the_string_policy_loop(corpus):
             for array, column in zip(graph.edge_arrays(), columns):
                 assert array.dtype == np.int64 and array.tolist() == column
             assert graph.n_edges == sum(columns[2])
+
+
+# docs.csv rows with bad or huge years, negative or non-numeric cites,
+# unknown doc types, duplicate and empty ids, spaced or blank author lists,
+# and rows of the wrong width (blank rows among them).
+doc_rows = st.lists(
+    st.one_of(
+        st.tuples(
+            st.sampled_from(["a", "b", "c", "", "a "]),
+            st.sampled_from(["J", "", "K, L", 'Q "x"']),
+            st.sampled_from(["2000", "1", " 2001", "0", "-3", "", "abc", "1e3",
+                             str(2**63 - 1), str(2**63)]),
+            st.sampled_from(["article", "review", "", "other", "bogus", "Review"]),
+            st.sampled_from(["0", "5", "", "-1", "x"]),
+            st.sampled_from(["", "A. One", " A. One ;  B. Two ", ";;", "A;;B", "   ", "A; ;B"]),
+        ).map(list),
+        st.lists(st.sampled_from(["a", "", "2000"]), max_size=8),
+    ),
+    max_size=12,
+)
+
+
+def record_loop_read_docs(path, strict):
+    """The loop ``formats.read_docs`` ran before it kept columns: one
+    ``DocumentRecord`` per row, whose constructor does the checks."""
+    reader = _RowReader(path, strict, ["id", "venue", "year", "doc_type", "cites", "authors"])
+    docs, seen = [], set()
+    for lineno, row in reader:
+        if len(row) != 6:
+            reader.complain(lineno, f"expected 6 fields, got {len(row)}")
+            continue
+        doc_id, venue, year_s, type_s, cites_s, authors_s = row
+        try:
+            doc = DocumentRecord(
+                id=doc_id,
+                venue=venue,
+                year=int(year_s),
+                doc_type=DocType(type_s) if type_s else DocType.OTHER,
+                cites=int(cites_s) if cites_s else 0,
+                authors=tuple(a.strip() for a in authors_s.split(";") if a.strip()),
+            )
+        except (ValueError, DataError) as exc:
+            reader.complain(lineno, str(exc))
+            continue
+        if doc.id in seen:
+            reader.complain(lineno, f"duplicate document id {doc.id!r}")
+            continue
+        seen.add(doc.id)
+        docs.append(doc)
+    return docs, reader.warnings
+
+
+@settings(PROPERTY, max_examples=200)
+@given(doc_rows)
+@example([["a", "J", str(2**63), "article", "0", ""], ["a", "J", "2000", "bogus", "0", ""],
+          ["b", "J", "2000", "", "-1", ""], ["a", "J", "2000", "", "", " X ;; Y "],
+          ["a", "K", "2001", "review", "1", ""], [], ["", "", "", "", "", ""]])
+def test_columnar_read_docs_matches_the_record_loop(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "docs.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["id", "venue", "year", "doc_type", "cites", "authors"])
+            writer.writerows(rows)
+        for strict in (False, True):
+            want = outcome(record_loop_read_docs, path, strict)
+            got = outcome(read_docs, path, strict)
+            loaded = outcome(load_corpus, None, path, strict)
+            if want[0] == "DataError":
+                assert got == loaded == want
+                continue
+            docs, warnings = got
+            assert (list(docs), warnings) == want
+            assert loaded.warnings == warnings
+            assert list(loaded.graph.metadata.items()) == [(d.id, d) for d in want[0]]

@@ -45,6 +45,8 @@ def test_docs_only_commands_never_import_numpy(tmp_path):
         ["study", "authorship", *by_author, *out],
         ["study", "authorship", *by_author, "--reviews-only", *out],
         ["h-index", "--profile", str(DATA / "profile.csv"), *out],
+        ["correlate", "--data", str(DATA / "xy.csv"), *out],
+        ["correlate", "--data", str(DATA / "xy.csv"), "--method", "spearman", *out],
     ]
     solver = ["pagerank", "--edges", str(DATA / "mini" / "edges.csv"), *out]
     script = textwrap.dedent("""
@@ -112,6 +114,8 @@ def test_commands_load_only_the_modules_they_run(tmp_path):
         ["study", "sample", "--docs", str(DATA / "laureates_authors" / "docs.csv"),
          "--author", SUBJECT_NAMES[0], *out],
         ["h-index", "--profile", str(DATA / "profile.csv"), *out],
+        ["correlate", "--data", str(DATA / "xy.csv"), *out],
+        ["correlate", "--data", str(DATA / "xy.csv"), "--method", "spearman", *out],
     ]
     script = textwrap.dedent("""
         import json, sys

@@ -356,8 +356,8 @@ def ranks_with_ties(values):
 
 
 def while_loop_average_ranks(values):
-    """The tie-averaging loop ``study._average_ranks`` used before it
-    grouped ties with ``np.unique``; kept as the reference."""
+    """The tie-averaging while loop over a numpy sort, kept as the
+    reference for ``study._average_ranks``."""
     order = np.lexsort((values,))
     ranks = np.empty(len(values), dtype=np.float64)
     i = 0
@@ -377,10 +377,10 @@ class TestAverageRanks:
     @example([0.0, -0.0, 0.0, -0.0, 1.0])
     @example([])
     def test_matches_the_while_loop_bit_for_bit(self, values):
-        values = np.array(values, dtype=np.float64)
-        got, want = _average_ranks(values), while_loop_average_ranks(values)
-        assert got.dtype == want.dtype == np.float64
-        assert got.tobytes() == want.tobytes()
+        got = _average_ranks(values)
+        want = while_loop_average_ranks(np.array(values, dtype=np.float64))
+        assert type(got) is list and all(type(rank) is float for rank in got)
+        assert np.array(got, dtype=np.float64).tobytes() == want.tobytes()
 
 
 class TestPercent:
@@ -397,7 +397,41 @@ class TestPercent:
         assert percent(count, denominator) == math.floor(tenths + Fraction(1, 2)) / 10
 
 
+def exact_pearson(xs, ys):
+    """Pearson's coefficient of the floats ``xs``, ``ys`` in exact
+    arithmetic, rounded once to the nearest float."""
+    xs, ys = [Fraction(x) for x in xs], [Fraction(y) for y in ys]
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    sxx, syy = sum((x - mx) ** 2 for x in xs), sum((y - my) ** 2 for y in ys)
+    # r = sxy / sqrt(sxx * syy): an integer square root of r^2 scaled by 4^k.
+    k = 120
+    squared = sxy * sxy / (sxx * syy)
+    root = math.isqrt(squared.numerator * 4**k // squared.denominator)
+    return math.copysign(float(Fraction(root, 2**k)), sxy)
+
+
 class TestRankCorrelation:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(*[st.integers(-10**6, 10**6).map(lambda k: k / 1000)] * 2),
+                    min_size=3, max_size=60))
+    @example([(1.0, 3.0), (2.0, 5.0), (3.0, 7.0)])
+    @example([(0.1, 0.3), (0.2, -0.1), (0.3, 0.2), (0.4, 0.1)])
+    @example([(0.0, 0.003), (0.0, 0.003), (0.001, 0.003)])  # the mean of y is not 0.003
+    def test_pearson_within_4_ulps_of_the_exact_coefficient(self, pairs):
+        # Each sum is an fsum, so the error comes from rounding the
+        # deviations from the mean and their products: by Cauchy-Schwarz
+        # a few ulps of 1, whatever r is. Ulps are counted at |r|, but no
+        # finer than at 0.5.
+        xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+        if len(set(xs)) < 2 or len(set(ys)) < 2:
+            with pytest.raises(UndefinedMetricError):
+                rank_correlation(xs, ys, "pearson")
+            return
+        want = exact_pearson(xs, ys)
+        got = rank_correlation(xs, ys, "pearson")
+        assert abs(got - want) <= 4 * math.ulp(max(abs(want), 0.5))
+
     def test_identical_lists(self):
         xs = [3.0, 1.0, 4.0, 1.5, 5.0]
         assert rank_correlation(xs, xs, "pearson") == pytest.approx(1.0)
