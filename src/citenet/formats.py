@@ -12,8 +12,10 @@ All files are UTF-8 CSV with a header row and LF line endings:
 ``read_xy`` reads two numeric columns of any CSV file with a header row.
 A leading UTF-8 byte-order mark is dropped.
 
-In strict mode any malformed row aborts the load; otherwise bad rows
-are skipped and enumerated in the load report with line numbers.
+In strict mode any bad row aborts the load, naming its file and line;
+otherwise each bad row is skipped with a warning that names them. An
+edge row citing or cited by an id that the docs file lacks (a dangling
+edge) warns in the same way but stays in the graph.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import codecs
 import csv
 import io
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -81,9 +83,13 @@ class _RowReader:
     """One pass over the non-blank rows after the header, with the line
     each starts on; checks the header when ``expected_header`` is given.
 
-    ``records`` is the same pass with blank rows left in: a reader that
-    checks every row's shape can walk it and call ``any(row)`` only on
-    the rows that fail the check, saving a generator step per row.
+    ``complain`` is the one bad-input policy: in strict mode it aborts
+    with a :class:`DataError` naming ``file:line``, otherwise it keeps
+    that note in ``warnings`` and the caller skips the row. ``parse``
+    hands it every ``ValueError`` a row parser raises. ``records`` is
+    the same pass with blank rows left in: a reader that checks every
+    row's shape can walk it and call ``any(row)`` only on the rows that
+    fail the check, saving a generator step per row.
     """
 
     def __init__(self, path: Path, strict: bool, expected_header: list[str] | None = None):
@@ -102,18 +108,27 @@ class _RowReader:
     def complain(self, lineno: int, message: str) -> None:
         note = f"{self.path}:{lineno}: {message}"
         if self.strict:
-            raise DataError(note)
+            raise DataError(note) from None
         self.warnings.append(note)
 
     def __iter__(self):
         return ((lineno, row) for lineno, row in self.records if any(row))
 
+    def parse(self, parse_row: Callable[[list[str]], None]) -> None:
+        """Call ``parse_row`` on each row; a row it rejects with a
+        ``ValueError`` (every :class:`DataError` is one) is a bad row."""
+        for lineno, row in self:
+            try:
+                parse_row(row)
+            except ValueError as exc:
+                self.complain(lineno, str(exc))
+
 
 def _read_edges_with_lines(
     path: Path, strict: bool
-) -> tuple[dict[str, int], list[int], list[int], list[str]]:
+) -> tuple[dict[str, int], list[int], list[int], _RowReader]:
     """The well-formed edge rows of ``path`` with their ids interned, as
-    ``(codes, lines, pairs, warnings)``: ``codes`` maps each id to its
+    ``(codes, lines, pairs, reader)``: ``codes`` maps each id to its
     code in first-seen order, and row ``k`` starts on line ``lines[k]``
     with (citing, cited) codes ``pairs[2k]``, ``pairs[2k + 1]``."""
     reader = _RowReader(path, strict, ["citing_id", "cited_id"])
@@ -125,75 +140,62 @@ def _read_edges_with_lines(
             continue
         lines.append(lineno)
         pairs += (codes.setdefault(row[0], len(codes)), codes.setdefault(row[1], len(codes)))
-    return codes, lines, pairs, reader.warnings
+    return codes, lines, pairs, reader
 
 
 def read_edges(path: Path, strict: bool = False) -> tuple[list[tuple[str, str]], list[str]]:
     """The (citing, cited) pairs of the well-formed rows of an edges file."""
-    codes, _, pairs, warnings = _read_edges_with_lines(path, strict)
+    codes, _, pairs, reader = _read_edges_with_lines(path, strict)
     ids = list(codes)
-    return [(ids[u], ids[v]) for u, v in zip(pairs[::2], pairs[1::2])], warnings
+    return [(ids[u], ids[v]) for u, v in zip(pairs[::2], pairs[1::2])], reader.warnings
 
 
 def read_docs(path: Path, strict: bool = False) -> tuple[Sequence[DocumentRecord], list[str]]:
     """The well-formed rows of a docs file, checked as :class:`DocumentRecord`
     checks them but held as columns; each record is built when read."""
     reader = _RowReader(path, strict, ["id", "venue", "year", "doc_type", "cites", "authors"])
-    rows: list[tuple] = []
-    seen: set[str] = set()
-    for lineno, row in reader.records:
-        if len(row) != 6 or not any(row):
-            if any(row):
-                reader.complain(lineno, f"expected 6 fields, got {len(row)}")
-            continue
+    rows: dict[str, tuple] = {}
+
+    def parse_doc(row: list[str]) -> None:
+        if len(row) != 6:
+            raise DataError(f"expected 6 fields, got {len(row)}")
         doc_id, venue, year_s, type_s, cites_s, authors_s = row
-        try:
-            year = int(year_s)
-            doc_type = _DOC_TYPES.get(type_s) or DocType(type_s)
-            cites = int(cites_s) if cites_s else 0
-            authors = tuple(filter(None, map(str.strip, authors_s.split(";"))))
-            _check_document(doc_id, year, authors, cites)
-        except (ValueError, DataError) as exc:
-            reader.complain(lineno, str(exc))
-            continue
-        if doc_id in seen:
-            reader.complain(lineno, f"duplicate document id {doc_id!r}")
-            continue
-        seen.add(doc_id)
-        rows.append((doc_id, venue, year, authors, doc_type, cites))
-    return _DocColumns(rows), reader.warnings
+        year = int(year_s)
+        doc_type = _DOC_TYPES.get(type_s) or DocType(type_s)
+        cites = int(cites_s) if cites_s else 0
+        authors = tuple(filter(None, map(str.strip, authors_s.split(";"))))
+        _check_document(doc_id, year, authors, cites)
+        if doc_id in rows:
+            raise DataError(f"duplicate document id {doc_id!r}")
+        rows[doc_id] = (doc_id, venue, year, authors, doc_type, cites)
+
+    reader.parse(parse_doc)
+    return _DocColumns(rows.values()), reader.warnings
 
 
 def read_rank_records(path: Path, strict: bool = False) -> tuple[list[RankRecord], list[str]]:
+    """The well-formed rows of a rank records file; a repeated
+    (journal, year) is a bad row, and the first one is kept."""
     from .study import RankRecord
 
     reader = _RowReader(path, strict, ["journal", "year", "indexed", "tc_rank", "if_rank"])
-    records: list[RankRecord] = []
+    records: dict[tuple[str, int], RankRecord] = {}
 
-    def parse_rank(text: str) -> int | None:
-        return int(text) if text else None
-
-    for lineno, row in reader:
+    def parse_rank(row: list[str]) -> None:
         if len(row) != 5 or not row[0]:
-            reader.complain(lineno, f"malformed rank row {row!r}")
-            continue
-        flag = row[2].strip().casefold()
+            raise DataError(f"malformed rank row {row!r}")
+        journal, year_s, flag_s, tc_s, if_s = row
+        flag = flag_s.strip().casefold()
         if flag not in _FLAGS:
-            reader.complain(lineno, f"indexed flag must be true/false, got {row[2]!r}")
-            continue
-        try:
-            records.append(
-                RankRecord(
-                    journal=row[0],
-                    year=int(row[1]),
-                    indexed=flag in _TRUE,
-                    tc_rank=parse_rank(row[3]),
-                    if_rank=parse_rank(row[4]),
-                )
-            )
-        except (ValueError, DataError) as exc:
-            reader.complain(lineno, str(exc))
-    return records, reader.warnings
+            raise DataError(f"indexed flag must be true/false, got {flag_s!r}")
+        record = RankRecord(journal, int(year_s), flag in _TRUE,
+                            int(tc_s) if tc_s else None, int(if_s) if if_s else None)
+        if (journal, record.year) in records:
+            raise DataError(f"duplicate rank record for journal {journal!r} in {record.year}")
+        records[journal, record.year] = record
+
+    reader.parse(parse_rank)
+    return list(records.values()), reader.warnings
 
 
 def read_profile(path: Path, strict: bool = False) -> tuple[CitationProfile, list[str]]:
@@ -201,15 +203,17 @@ def read_profile(path: Path, strict: bool = False) -> tuple[CitationProfile, lis
 
     reader = _RowReader(path, strict, ["cites"])
     counts: list[int] = []
-    for lineno, row in reader:
+
+    def parse_count(row: list[str]) -> None:
         try:
             count = int(row[0])
-            if count < 0:
-                raise ValueError("negative count")
         except ValueError:
-            reader.complain(lineno, f"bad citation count {row[0]!r}")
-            continue
+            count = -1
+        if count < 0:
+            raise DataError(f"bad citation count {row[0]!r}")
         counts.append(count)
+
+    reader.parse(parse_count)
     return CitationProfile(tuple(counts)), reader.warnings
 
 
@@ -225,22 +229,25 @@ def read_journal_matrix(path: Path) -> JournalCitationMatrix:
     n = len(journals)
     counts = np.zeros((n, n), dtype=np.int64)
     pubs = np.zeros(n, dtype=np.int64)
-    seen: set[str] = set()
     index = {j: i for i, j in enumerate(journals)}
-    for lineno, row in reader:
+    seen: set[str] = set()
+
+    def parse_journal(row: list[str]) -> None:
         if len(row) != n + 2:
-            raise DataError(f"{path}:{lineno}: expected {n + 2} fields, got {len(row)}")
+            raise DataError(f"expected {n + 2} fields, got {len(row)}")
         name = row[0]
         if name not in index:
-            raise DataError(f"{path}:{lineno}: journal {name!r} not in header")
+            raise DataError(f"journal {name!r} not in header")
         if name in seen:
-            raise DataError(f"{path}:{lineno}: duplicate row for journal {name!r}")
+            raise DataError(f"duplicate row for journal {name!r}")
         seen.add(name)
         try:
             counts[index[name]] = [int(cell) for cell in row[1:-1]]
             pubs[index[name]] = int(row[-1])
-        except (ValueError, OverflowError) as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from None
+        except OverflowError as exc:
+            raise DataError(str(exc)) from None
+
+    reader.parse(parse_journal)
     missing = set(journals) - seen
     if missing:
         raise DataError(f"{path}: missing rows for journals {sorted(missing)}")
@@ -266,11 +273,14 @@ def read_xy(
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from None
     pairs: list[tuple[float, float]] = []
-    for lineno, row in reader:
+
+    def parse_pair(row: list[str]) -> None:
         try:
             pairs.append((float(row[xi]), float(row[yi])))
         except (ValueError, IndexError):
-            reader.complain(lineno, f"bad numeric row {row!r}")
+            raise DataError(f"bad numeric row {row!r}") from None
+
+    reader.parse(parse_pair)
     return (x_col, y_col, pairs), reader.warnings
 
 
@@ -279,37 +289,36 @@ def load_corpus(
 ) -> CorpusBundle:
     """Load and cross-validate a citation graph from an edges and/or docs file.
 
-    With both present, edge endpoints lacking a document record are an
-    error in strict mode (the row is named) and a warning otherwise.
-    Self-loops are skipped with a warning, or abort in strict mode.
+    With both present, an edge row with an endpoint lacking a document
+    record is a bad row that is kept: strict mode aborts at it, and
+    otherwise it warns and stays in the graph. Self-loops are bad rows
+    that are skipped.
     """
-    if edges is None and docs is None:
-        raise DataError("no input files given")
-    codes, lines, pairs, warnings = (
-        _read_edges_with_lines(edges, strict) if edges is not None else ({}, [], [], [])
-    )
+    if edges is None:
+        if docs is None:
+            raise DataError("no input files given")
+        doc_rows, warnings = read_docs(docs, strict)
+        return CorpusBundle(build_graph((), doc_rows), warnings)
+    codes, lines, pairs, reader = _read_edges_with_lines(edges, strict)
     doc_rows, notes = read_docs(docs, strict) if docs is not None else (_DocColumns(()), [])
-    warnings += notes
+    reader.warnings += notes
     if pairs:  # an edgeless corpus builds no arrays
         ids = list(codes)
         pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
         known = np.full(len(ids), docs is None)
         known[[codes[doc_id] for doc_id in doc_rows.ids if doc_id in codes]] = True
-        # Dangling notes come before self-loop notes, so in strict mode
-        # the first dangling row wins over an earlier self-loop.
+        # Dangling rows come before self-loops, so in strict mode the
+        # first dangling row wins over an earlier self-loop.
         dangling = np.flatnonzero(~known[pairs].all(axis=1)).tolist()
+        for k, (u, v) in zip(dangling, pairs[dangling].tolist()):
+            unknown = ", ".join(ids[x] for x in (u, v) if not known[x])
+            reader.complain(lines[k], f"edge ({ids[u]},{ids[v]}) references unknown document "
+                            f"id(s) {unknown}")
         loops = np.flatnonzero(pairs[:, 0] == pairs[:, 1]).tolist()
-        notes = [
-            f"{edges}:{lines[k]}: edge ({ids[u]},{ids[v]}) references unknown document "
-            f"id(s) {', '.join(ids[x] for x in (u, v) if not known[x])}"
-            for k, (u, v) in zip(dangling, pairs[dangling].tolist())
-        ]
-        notes += [f"{edges}:{lines[k]}: self-loop on {ids[pairs[k, 0]]!r} skipped" for k in loops]
-        if strict and notes:
-            raise DataError(notes[0])
-        warnings += notes
+        for k in loops:
+            reader.complain(lines[k], f"self-loop on {ids[pairs[k, 0]]!r} skipped")
         pairs = np.delete(pairs, loops, axis=0)
-    return CorpusBundle(build_graph(_InternedEdges(codes, pairs), doc_rows), warnings)
+    return CorpusBundle(build_graph(_InternedEdges(codes, pairs), doc_rows), reader.warnings)
 
 
 def write_edges(graph: CitationGraph, path: Path) -> None:

@@ -454,12 +454,13 @@ def aggregate_to_journal_matrix(
     the cite year to journal-j documents published in the source years;
     pubs[j] counts journal-j documents in the source years. Journals with
     zero source-year publications are dropped (reported in ``dropped``),
-    and references touching a dropped journal are excluded with them.
+    and references touching a dropped journal are excluded with them. A
+    reference to a document without a record (a dangling edge, which
+    ``load_corpus`` reports as it loads) has no year, so it is left out,
+    as every journal count leaves it out.
 
     Raises :class:`DataError` when a document inside the window has no
-    venue (the first in ``nodes`` order is named), or when an in-window
-    reference points at a document without a record (named by the first
-    such edge in (citing, cited) order).
+    venue (the first in ``nodes`` order is named).
     """
     journal, year, _ = graph.node_columns()
     first, last = window.source_years
@@ -478,14 +479,10 @@ def aggregate_to_journal_matrix(
     dropped = tuple(compress(names, (seen & ~kept).tolist()))
 
     src, dst, mult = graph.edge_arrays()
-    live = citing[src]
-    missing = np.flatnonzero(live & (year[dst] == 0))
-    if missing.size:
-        cited = graph.nodes[dst[missing[0]]]
-        raise DataError(f"document {cited!r} is cited from inside the window but has no metadata")
-    live &= in_source[dst]
+    live = citing[src] & in_source[dst]
     # Graph journal code -> matrix row, -1 for a journal the matrix drops.
-    # Both ends of a live edge have a venue: the check above made sure.
+    # Both ends of a live edge are in the window, where the check above
+    # found a venue for every document.
     row = np.where(kept, np.cumsum(kept) - 1, -1)
     i, j = row[journal[src[live]]], row[journal[dst[live]]]
     both = (i >= 0) & (j >= 0)

@@ -3,6 +3,7 @@ determinism, and exit codes."""
 
 import argparse
 import filecmp
+import json
 import re
 from pathlib import Path
 
@@ -18,6 +19,18 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 AUTHOR_FLAGS = [flag for name in SUBJECT_NAMES for flag in ("--author", name)]
 MISSING_INPUTS = ["--edges", str(DATA / "missing" / "edges.csv"),
                   "--docs", str(DATA / "missing" / "docs.csv")]
+
+
+MINI_INPUTS = ["--edges", str(DATA / "mini" / "edges.csv"),
+               "--docs", str(DATA / "mini" / "docs.csv")]
+# Three journals whose plain and reference-weighted mean weights differ.
+ASYMMETRIC_MATRIX = "journal,A,B,C,pubs\nA,1,4,2,3\nB,3,0,5,2\nC,2,1,0,4\n"
+
+
+def json_rows(capsys, argv):
+    """The table rows that ``argv --json`` prints, after a zero exit."""
+    assert main([*argv, "--json"]) == 0
+    return json.loads(capsys.readouterr().out)["rows"]
 
 
 def rank_study_args(command, *extra):
@@ -390,6 +403,73 @@ class TestCliBehaviors:
         captured = capsys.readouterr()
         assert "Gamma" in captured.err  # dropped: no window publications
         assert "Alpha" in captured.out and "1.333333333333" in captured.out
+
+    def test_influence_leaves_out_a_dangling_reference(self, tmp_path, capsys):
+        docs = tmp_path / "d.csv"
+        docs.write_text("id,venue,year,doc_type,cites,authors\na,J,2005,article,0,\n"
+                        "b,J,2004,article,0,\n")
+        edges, clean = tmp_path / "e.csv", tmp_path / "clean.csv"
+        edges.write_text("citing_id,cited_id\na,b\na,ghost\n")
+        clean.write_text("citing_id,cited_id\na,b\n")
+        args = ["influence", "--docs", str(docs), "--cite-year", "2005"]
+        assert main([*args, "--edges", str(clean)]) == 0
+        want = capsys.readouterr()
+        assert want.err == ""
+        assert main([*args, "--edges", str(edges)]) == 0
+        got = capsys.readouterr()
+        assert got.out == want.out
+        assert got.err == (f"warning: {edges}:3: edge (a,ghost) references unknown "
+                           "document id(s) ghost\n")
+        assert main([*args, "--edges", str(edges), "--strict"]) == 2
+        assert f"{edges}:3: edge (a,ghost)" in capsys.readouterr().err
+
+    def test_influence_unit_mean_normalization(self, tmp_path, capsys):
+        path = tmp_path / "m.csv"
+        path.write_text(ASYMMETRIC_MATRIX)
+        unit = json_rows(capsys, ["influence", "--matrix", str(path),
+                                  "--normalization", "unit_mean"])
+        reference = json_rows(capsys, ["influence", "--matrix", str(path)])
+        weights = {row[1]: row[2] for row in unit}
+        assert sum(weights.values()) / len(weights) == pytest.approx(1.0, rel=1e-12)
+        ratios = [weights[row[1]] / row[2] for row in reference]
+        assert ratios == pytest.approx([ratios[0]] * 3, rel=1e-12)
+        assert ratios[0] != pytest.approx(1.0)  # the two means differ on this matrix
+
+    def test_influence_zero_diagonal(self, tmp_path, capsys):
+        from citenet import formats, ranking
+
+        path = tmp_path / "m.csv"
+        path.write_text(ASYMMETRIC_MATRIX)
+        rows = json_rows(capsys, ["influence", "--matrix", str(path), "--zero-diagonal"])
+        want = ranking.influence_metrics(formats.read_journal_matrix(path).without_self_citations())
+        assert [(row[1], row[2], row[3], row[5]) for row in rows] == [
+            (j, w, want.per_publication[j], want.total[j]) for j, w in want.weights.ranked()]
+
+    def test_total_cites_from_a_matrix_sums_its_columns(self, tmp_path, capsys):
+        path = tmp_path / "m.csv"
+        path.write_text(ASYMMETRIC_MATRIX)
+        rows = json_rows(capsys, ["total-cites", "--matrix", str(path)])
+        assert [row[1:] for row in rows] == [["C", 2 + 5 + 0], ["A", 1 + 3 + 2], ["B", 4 + 0 + 1]]
+
+    def test_impact_factor_of_one_journal(self, capsys):
+        from citenet import load_corpus, metrics
+
+        rows = json_rows(capsys, ["impact-factor", *MINI_INPUTS, "--cite-year", "2005",
+                                  "--journal", "Alpha"])
+        graph = load_corpus(DATA / "mini" / "edges.csv", DATA / "mini" / "docs.csv").graph
+        assert rows == [[1, "Alpha", metrics.impact_factor_from_graph(graph, "Alpha", 2005)]]
+
+    def test_share_curve_thresholds(self, capsys):
+        from citenet import load_corpus, metrics
+
+        assert main(["share-curve", *MINI_INPUTS, "--cite-year", "2005", "--threshold", "2",
+                     "--threshold", "4", "--json"]) == 0
+        summary = json.loads(capsys.readouterr().out)["summary"]
+        graph = load_corpus(DATA / "mini" / "edges.csv", DATA / "mini" / "docs.csv").graph
+        counts = metrics.journal_cite_counts(graph, 2005).values()
+        assert summary == {f"Journals with count >= {t}": sum(c >= t for c in counts)
+                           for t in (2, 4)}
+        assert list(summary.values()) == [3, 1]
 
     def test_influence_needs_matrix_or_cite_year(self, capsys):
         assert main(["influence", "--edges", str(DATA / "mini" / "edges.csv")]) == 1

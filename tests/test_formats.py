@@ -178,6 +178,18 @@ class TestRankRecordsFile:
         assert records == []
         assert any("indexed flag" in w for w in warnings)
 
+    def test_repeated_journal_year_is_a_bad_row(self, tmp_path):
+        path = tmp_path / "ranks.csv"
+        path.write_text("journal,year,indexed,tc_rank,if_rank\n"
+                        "J,2001,true,10,20\nJ,2002,true,1,1\nJ,2001,true,900,1200\n")
+        note = f"{path}:4: duplicate rank record for journal 'J' in 2001"
+        records, warnings = read_rank_records(path)
+        assert [(r.year, r.tc_rank) for r in records] == [(2001, 10), (2002, 1)]
+        assert warnings == [note]
+        with pytest.raises(DataError) as err:
+            read_rank_records(path, strict=True)
+        assert str(err.value) == note
+
 
 class TestProfileFile:
     def test_reads_profile(self):

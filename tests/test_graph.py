@@ -300,11 +300,13 @@ class TestJournalAggregation:
         m = JournalCitationMatrix(("A", "B"), [[0, 2], [1, 0]], [1, 1])
         assert m.without_nonreferencing() == (m, ())
 
-    def test_missing_metadata_for_cited_doc_errors(self):
-        docs = [DocumentRecord("a1", "A", 2000)]
-        g = build_graph([("a1", "mystery")], docs=docs)
-        with pytest.raises(DataError, match="mystery"):
-            aggregate_to_journal_matrix(g, TimeWindow(2000, (1999, 2000)))
+    def test_reference_to_doc_without_metadata_is_left_out(self):
+        docs = [DocumentRecord("a1", "A", 2000), DocumentRecord("a0", "A", 1999)]
+        window = TimeWindow(2000, (1999, 2000))
+        g = build_graph([("a1", "a0"), ("a1", "mystery")], docs=docs)
+        without = build_graph([("a1", "a0")], docs=docs)
+        assert aggregate_to_journal_matrix(g, window) == aggregate_to_journal_matrix(
+            without, window)
 
     def test_missing_venue_inside_window_errors(self):
         docs = [DocumentRecord("a1", "", 2000)]
