@@ -32,9 +32,9 @@ _EXPORTS = {
         "InfluenceResult", "PageRankParams", "ScoreVector", "hits", "influence_metrics",
         "influence_weights", "pagerank", "total_influence",
     ),
-    "reports": (),
+    "reports": ("StudyTable",),
     "study": (
-        "AuthorshipClass", "RankBucket", "RankRecord", "StudyTable", "authorship_position",
+        "AuthorshipClass", "RankBucket", "RankRecord", "authorship_position",
         "authorship_table", "bucket", "rank_bucket_table", "rank_correlation",
         "resolve_rank_records", "stratified_every_kth", "tc_vs_if_comparison",
     ),

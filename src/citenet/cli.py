@@ -25,7 +25,7 @@ from .graph import CitationGraph, DocType, TimeWindow, aggregate_to_journal_matr
 
 if TYPE_CHECKING:
     from . import concentration, ranking
-    from .study import StudyTable
+    from .reports import StudyTable
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -263,7 +263,7 @@ def _ranked_table(
     title: str, columns: tuple[str, ...], cell_formats: tuple[str, ...], rows: Iterable, **notes
 ) -> StudyTable:
     """A table of ``rows``, best first, numbered from 1 in a leading Rank column."""
-    from .study import StudyTable
+    from .reports import StudyTable
 
     return StudyTable(
         title=title,
@@ -458,7 +458,7 @@ def _cmd_impact_factor(args) -> tuple[list[tuple[str, StudyTable]], int]:
 
 def _cmd_h_index(args) -> tuple[list[tuple[str, StudyTable]], int]:
     from . import formats, metrics
-    from .study import StudyTable
+    from .reports import StudyTable
 
     profile, warnings = formats.read_profile(args.profile, args.strict)
     _warn(warnings)
@@ -476,7 +476,7 @@ def _cmd_h_index(args) -> tuple[list[tuple[str, StudyTable]], int]:
 
 def _cmd_bradford(args) -> tuple[list[tuple[str, StudyTable]], int]:
     from . import concentration
-    from .study import StudyTable
+    from .reports import StudyTable
 
     targets = _option_value(args, "--targets", lambda text: [float(t) for t in text.split(",")])
     graph = _load_graph(args)
@@ -498,7 +498,7 @@ def _cmd_bradford(args) -> tuple[list[tuple[str, StudyTable]], int]:
 
 def _cmd_share_curve(args) -> tuple[list[tuple[str, StudyTable]], int]:
     from . import concentration
-    from .study import StudyTable
+    from .reports import StudyTable
 
     graph = _load_graph(args)
     ranked = _ranked_counts(graph, args.by, args.cite_year)
@@ -526,7 +526,7 @@ def _cmd_share_curve(args) -> tuple[list[tuple[str, StudyTable]], int]:
 
 def _cmd_stability(args) -> tuple[list[tuple[str, StudyTable]], int]:
     from . import concentration
-    from .study import StudyTable
+    from .reports import StudyTable
 
     graph = _load_graph(args)
     ranked_a = _ranked_counts(graph, args.by, args.cite_year)
@@ -546,11 +546,12 @@ def _cmd_stability(args) -> tuple[list[tuple[str, StudyTable]], int]:
 
 def _cmd_study_sample(args) -> tuple[list[tuple[str, StudyTable]], int]:
     from . import study
+    from .reports import StudyTable
 
     docs = _author_docs(_load_graph(args), args.author)
     sample = study.stratified_every_kth(docs, args.every, seed=args.seed)
     positions = {d.id: i for i, d in enumerate(docs, 1)}
-    table = study.StudyTable(
+    table = StudyTable(
         title=f"Every-{args.every} sample for {args.author}",
         columns=("Position", "Id", "Venue", "Year", "Cites"),
         formats=("d", "s", "s", "d", "d"),
@@ -616,12 +617,13 @@ def _cmd_study_authorship(args) -> tuple[list[tuple[str, StudyTable]], int]:
 
 def _cmd_correlate(args) -> tuple[list[tuple[str, StudyTable]], int]:
     from . import formats, study
+    from .reports import StudyTable
 
     (x_col, y_col, xy), warnings = formats.read_xy(args.data, args.x_col, args.y_col, args.strict)
     _warn(warnings)
     xs, ys = [x for x, _ in xy], [y for _, y in xy]
     value = study.rank_correlation(xs, ys, method=args.method)
-    table = study.StudyTable(
+    table = StudyTable(
         title=f"{args.method.capitalize()} correlation of {x_col} vs {y_col}",
         columns=("Method", "Pairs", "Coefficient"),
         formats=("s", "d", "g"),

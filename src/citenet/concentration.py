@@ -112,6 +112,8 @@ def bradford_partition(
         cut_targets = [float(t) for t in targets]
         if len(cut_targets) != k - 1:
             raise DataError(f"expected {k - 1} cumulative targets, got {len(cut_targets)}")
+        if not all(map(math.isfinite, cut_targets)):
+            raise DataError("targets must be finite")
         if cut_targets != sorted(cut_targets) or cut_targets[-1] > total:
             raise DataError("targets must be increasing and at most the total")
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import codecs
 import csv
 import io
+import math
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -205,6 +206,8 @@ def read_profile(path: Path, strict: bool = False) -> tuple[CitationProfile, lis
     counts: list[int] = []
 
     def parse_count(row: list[str]) -> None:
+        if len(row) != 1:
+            raise DataError(f"expected 1 field, got {len(row)}")
         try:
             count = int(row[0])
         except ValueError:
@@ -260,7 +263,7 @@ def read_xy(
     """(x, y) pairs from two numeric columns of a CSV file, named by its
     header (default: the first two), as ``((x_col, y_col, pairs), warnings)``.
 
-    A row whose two cells are not both numbers is a bad row.
+    A row whose two cells are not both finite numbers is a bad row.
     """
     reader = _RowReader(path, strict)
     header = reader.header
@@ -276,9 +279,12 @@ def read_xy(
 
     def parse_pair(row: list[str]) -> None:
         try:
-            pairs.append((float(row[xi]), float(row[yi])))
+            pair = float(row[xi]), float(row[yi])
+            if not all(map(math.isfinite, pair)):
+                raise ValueError
         except (ValueError, IndexError):
             raise DataError(f"bad numeric row {row!r}") from None
+        pairs.append(pair)
 
     reader.parse(parse_pair)
     return (x_col, y_col, pairs), reader.warnings

@@ -1,11 +1,6 @@
 """Validation-study harness: stratified sampling, rank-bucket tables,
 total-cites vs impact-factor comparison, authorship-position tables,
 and rank correlations.
-
-Tables carry typed cells plus per-column format codes so reports render
-deterministically: counts as integers, percentages to one decimal
-(half-up, so 31.25 -> 31.3), medians as the midpoint of even-sized sets
-(reported as x.5).
 """
 
 from __future__ import annotations
@@ -19,12 +14,7 @@ from operator import mul
 
 from .errors import DataError, UndefinedMetricError
 from .graph import DocType, DocumentRecord, normalize_author
-
-Cell = str | int | float | None
-
-# StudyTable column format codes (interpreted by reports.format_cell):
-# s text, d integer, p percent (1 decimal), m median (integer or x.5),
-# f fixed 3 decimals, g general number.
+from .reports import Cell, StudyTable
 
 
 class RankBucket(Enum):
@@ -89,32 +79,6 @@ class RankRecord:
 def _check_measure(measure: str) -> None:
     if measure not in ("tc", "if"):
         raise DataError(f"unknown measure {measure!r}; use 'tc' or 'if'")
-
-
-@dataclass(frozen=True)
-class StudyTable:
-    """A rendered-ready table: one row per subject, typed cells, format
-    codes per column, optional summary lines and footnotes."""
-
-    title: str
-    columns: tuple[str, ...]
-    formats: tuple[str, ...]
-    rows: tuple[tuple[Cell, ...], ...]
-    summary: tuple[tuple[str, Cell], ...] = ()
-    footnotes: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        if len(self.formats) != len(self.columns):
-            raise DataError("one format code per column required")
-        for row in self.rows:
-            if len(row) != len(self.columns):
-                raise DataError(f"row {row!r} does not match the column count")
-
-    def row_for(self, subject: str) -> tuple[Cell, ...]:
-        for row in self.rows:
-            if row[0] == subject:
-                return row
-        raise DataError(f"no row for subject {subject!r}")
 
 
 def percent(count: int, denominator: int) -> float | None:
@@ -405,6 +369,12 @@ def rank_correlation(
         raise DataError("inputs must be finite")
     if method == "spearman":
         x, y = _average_ranks(x), _average_ranks(y)
+    # Each side is scaled by an exact power of two that brings its largest
+    # magnitude into [0.5, 1), so its squared deviations cannot overflow, nor
+    # all underflow unless the side is constant; the coefficient is that of
+    # the unscaled sides.
+    shifts = [-math.frexp(max(map(abs, side)))[1] for side in (x, y)]
+    x, y = ([math.ldexp(v, shift) for v in side] for side, shift in zip((x, y), shifts))
     # Every sum is math.fsum's, correctly rounded.
     mean_x, mean_y = math.fsum(x) / len(x), math.fsum(y) / len(y)
     dx, dy = [v - mean_x for v in x], [v - mean_y for v in y]

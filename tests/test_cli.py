@@ -362,6 +362,17 @@ class TestExitCodes:
                 1,
                 "citenet impact-factor: bad --doc-types ' , '",
             ),
+            # A target that parses as a number but is not finite is a data error.
+            (
+                ["bradford", "--cite-year", "2005", "--zones", "2", "--targets", "nan"],
+                2,
+                "citenet: error: targets must be finite",
+            ),
+            (
+                ["bradford", "--cite-year", "2005", "--zones", "3", "--targets", "5,nan"],
+                2,
+                "citenet: error: targets must be finite",
+            ),
         ],
     )
     def test_bad_option_value(self, args, code, err, capsys):
@@ -518,6 +529,29 @@ class TestCliBehaviors:
         assert capsys.readouterr().err == (
             f"citenet: error: {path}:3: bad numeric row ['a', '3']\n"
         )
+
+    def test_correlate_treats_non_finite_cells_as_bad_rows(self, tmp_path, capsys):
+        path = tmp_path / "xy.csv"
+        path.write_text("x,y\n1,2\nnan,3\n2,4\n3,inf\n4,7\n")
+        assert main(["correlate", "--data", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"warning: {path}:3: bad numeric row ['nan', '3']\n"
+            f"warning: {path}:5: bad numeric row ['3', 'inf']\n"
+        )
+        assert "pearson  3" in captured.out
+        assert main(["correlate", "--data", str(path), "--strict"]) == 2
+        assert capsys.readouterr().err == (
+            f"citenet: error: {path}:3: bad numeric row ['nan', '3']\n"
+        )
+
+    def test_correlate_on_huge_and_tiny_values(self, tmp_path, capsys):
+        path = tmp_path / "xy.csv"
+        for text, coefficient in (("x,y\n1e200,1\n2e200,2\n4e200,3\n", "0.9819805060619656"),
+                                  ("x,y\n1e-200,1\n2e-200,2\n3e-200,3\n", "1.0")):
+            path.write_text(text)
+            assert main(["correlate", "--data", str(path)]) == 0
+            assert f"pearson  3      {coefficient}\n" in capsys.readouterr().out
 
     def test_strict_flag_propagates(self, tmp_path, capsys):
         edges = tmp_path / "edges.csv"

@@ -128,6 +128,10 @@ class TestBradfordPartition:
             bradford_partition(ranked, k=3, targets=[4])
         with pytest.raises(DataError, match="increasing"):
             bradford_partition(ranked, k=3, targets=[8, 4])
+        # NaN compares false with everything, so no order check can catch it.
+        for k, targets in ((2, [math.nan]), (3, [5, math.nan]), (3, [-math.inf, 5])):
+            with pytest.raises(DataError, match="targets must be finite"):
+                bradford_partition(ranked, k=k, targets=targets)
 
     def test_errors(self):
         ranked = RankedCounts.from_counts({"a": 0, "b": 0})

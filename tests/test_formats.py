@@ -204,6 +204,16 @@ class TestProfileFile:
         assert profile.counts == (5,)
         assert any(":3:" in w for w in warnings)
 
+    def test_row_with_more_than_one_cell_is_a_bad_row(self, tmp_path):
+        path = tmp_path / "profile.csv"
+        path.write_text("cites\n3\n5,7\n4\n")
+        profile, warnings = read_profile(path)
+        assert profile.counts == (3, 4)
+        assert warnings == [f"{path}:3: expected 1 field, got 2"]
+        with pytest.raises(DataError) as err:
+            read_profile(path, strict=True)
+        assert str(err.value) == f"{path}:3: expected 1 field, got 2"
+
 
 class TestMatrixFile:
     def test_reads_symmetric_matrix(self):
@@ -270,6 +280,19 @@ class TestXYFile:
             f"{path}:3: bad numeric row ['a', '3']",
             f"{path}:4: bad numeric row ['4']",
         ]
+
+    def test_non_finite_cells_are_bad_rows(self, tmp_path):
+        path = self.write(tmp_path, "x,y\n1,2\nnan,3\n4,-inf\n1e999,5\n6,7\n")
+        data, warnings = read_xy(path)
+        assert data == ("x", "y", [(1.0, 2.0), (6.0, 7.0)])
+        assert warnings == [
+            f"{path}:3: bad numeric row ['nan', '3']",
+            f"{path}:4: bad numeric row ['4', '-inf']",
+            f"{path}:5: bad numeric row ['1e999', '5']",
+        ]
+        with pytest.raises(DataError) as err:
+            read_xy(path, strict=True)
+        assert str(err.value) == f"{path}:3: bad numeric row ['nan', '3']"
 
     def test_columns_are_chosen_by_name(self, tmp_path):
         path = self.write(tmp_path, "id,x,y\nq,1,2\nr,3,5\n")

@@ -11,6 +11,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
 from laureate_fixture import SUBJECT_NAMES
 
 TESTS = Path(__file__).resolve().parent
@@ -108,24 +109,53 @@ def test_cli_import_loads_errors_and_graph_only():
     assert run.returncode == 0, run.stderr
 
 
-def test_commands_load_only_the_modules_they_run(tmp_path):
-    out = ["--out-dir", str(tmp_path)]
-    commands = [
-        ["study", "sample", "--docs", str(DATA / "laureates_authors" / "docs.csv"),
-         "--author", SUBJECT_NAMES[0], *out],
-        ["h-index", "--profile", str(DATA / "profile.csv"), *out],
-        ["correlate", "--data", str(DATA / "xy.csv"), *out],
-        ["correlate", "--data", str(DATA / "xy.csv"), "--method", "spearman", *out],
-    ]
+MINI = ["--edges", str(DATA / "mini" / "edges.csv"), "--docs", str(DATA / "mini" / "docs.csv")]
+PROFILE = ["h-index", "--profile", str(DATA / "profile.csv")]
+
+
+@pytest.mark.parametrize(
+    "commands, unused",
+    [
+        (
+            [
+                ["study", "sample", "--docs", str(DATA / "laureates_authors" / "docs.csv"),
+                 "--author", SUBJECT_NAMES[0]],
+                PROFILE,
+                ["correlate", "--data", str(DATA / "xy.csv")],
+                ["correlate", "--data", str(DATA / "xy.csv"), "--method", "spearman"],
+            ],
+            ["citenet.concentration", "citenet.ranking"],
+        ),
+        # Commands that build a table but run no study logic.
+        (
+            [
+                ["pagerank", *MINI],
+                ["hits", *MINI],
+                ["influence", *MINI, "--cite-year", "2005", "--prune-nonreferencing"],
+                ["total-cites", *MINI, "--cite-year", "2005"],
+                ["impact-factor", *MINI, "--cite-year", "2005"],
+                ["bradford", *MINI, "--cite-year", "2005", "--zones", "2"],
+                ["share-curve", *MINI, "--cite-year", "2005"],
+                ["stability", *MINI, "--cite-year", "2005", "--cite-year-b", "2004", "--top", "1"],
+                PROFILE,
+            ],
+            ["citenet.study"],
+        ),
+    ],
+    ids=["docs-only", "no-study-logic"],
+)
+def test_commands_load_only_the_modules_they_run(commands, unused, tmp_path):
+    commands = [[*args, "--out-dir", str(tmp_path)] for args in commands]
     script = textwrap.dedent("""
         import json, sys
         import citenet.cli
-        for args in json.loads(sys.argv[1]):
+        commands, unused = json.loads(sys.argv[1])
+        for args in commands:
             assert citenet.cli.main(args) == 0, args
-        unused = sorted({"citenet.ranking", "citenet.concentration"} & set(sys.modules))
-        assert unused == [], unused
+        loaded = sorted(set(unused) & set(sys.modules))
+        assert loaded == [], loaded
     """)
-    run = run_fresh(script, json.dumps(commands))
+    run = run_fresh(script, json.dumps([commands, unused]))
     assert run.returncode == 0, run.stderr
     assert (tmp_path / "h-index.txt").exists()
 

@@ -3,11 +3,14 @@ run by ``formats._RowReader.parse``, and ``_RowReader.complain`` alone
 decides between a ``file:line`` warning and a strict-mode abort.
 
 The oracles below are the reader loops that each wrote out that decision
-before, copied verbatim (the rank loop gains only the repeated-key rule).
+before, copied verbatim, except that the rank loop gains the repeated-key
+rule, the profile loop the one-field rule and the xy loop the rule that a
+non-finite number is a bad row.
 Examples are derandomized and kept in no example database, so every run
 draws the same cases.
 """
 
+import math
 import tempfile
 from pathlib import Path
 
@@ -79,6 +82,9 @@ def loop_read_profile(path, strict=False):
     reader = _RowReader(path, strict, ["cites"])
     counts = []
     for lineno, row in reader:
+        if len(row) != 1:
+            reader.complain(lineno, f"expected 1 field, got {len(row)}")
+            continue
         try:
             count = int(row[0])
             if count < 0:
@@ -140,6 +146,10 @@ def loop_read_xy(path, strict=False, x_col=None, y_col=None):
             pairs.append((float(row[xi]), float(row[yi])))
         except (ValueError, IndexError):
             reader.complain(lineno, f"bad numeric row {row!r}")
+            continue
+        if not all(map(math.isfinite, pairs[-1])):
+            pairs.pop()
+            reader.complain(lineno, f"bad numeric row {row!r}")
     return (x_col, y_col, pairs), reader.warnings
 
 
@@ -183,7 +193,7 @@ EXAMPLES = {
               b"J, 2001,true,900,1200\nJ,2001,true,0,1\nK,2001,no,,\n"],
     "profile": [b"cites\n3\n-1\n 4 ,x\nnan\n"],
     "matrix": [b"journal,A,B,pubs\nC,1\n", b"journal,A,B,pubs\nA,0,1,2\nA,1\n"],
-    "xy": [b"x,y\n1,2\nnan,inf\n1\n,\n"],
+    "xy": [b"x,y\n1,2\nnan,inf\n1\n,\n", b"x,y\n1e999,2\n3,-Infinity\n4,5\n"],
     "edges": [b"citing_id,cited_id\na1,ghost\nb1,b1\nx\nghost,ghost\n"],
 }
 

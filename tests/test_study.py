@@ -411,6 +411,14 @@ def exact_pearson(xs, ys):
     return math.copysign(float(Fraction(root, 2**k)), sxy)
 
 
+def outcome(fn, *args):
+    """``fn``'s result, or the type and message of the error it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
 class TestRankCorrelation:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(st.lists(st.tuples(*[st.integers(-10**6, 10**6).map(lambda k: k / 1000)] * 2),
@@ -486,6 +494,26 @@ class TestRankCorrelation:
         base = rank_correlation(xs, ys, "spearman")
         transformed = rank_correlation([math.exp(x) for x in xs], ys, "spearman")
         assert transformed == pytest.approx(base, abs=1e-12)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(*[st.integers(-10**6, 10**6)] * 2), min_size=3, max_size=30),
+           st.integers(-1000, 1000), st.sampled_from(["pearson", "spearman"]))
+    def test_scaling_one_side_by_a_power_of_two_keeps_the_coefficient(self, pairs, k, method):
+        xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+        scaled = [math.ldexp(x, k) for x in xs]
+        assert outcome(rank_correlation, scaled, ys, method) == outcome(
+            rank_correlation, xs, ys, method
+        )
+
+    def test_huge_and_tiny_finite_inputs(self):
+        # Squared deviations of these overflow or underflow unless scaled.
+        want = rank_correlation([1, 2, 4], [1, 2, 3])
+        assert want == pytest.approx(0.98198050606)
+        assert rank_correlation([1e200, 2e200, 4e200], [1, 2, 3]) == want
+        assert rank_correlation([2.0**-700, 2.0**-699, 2.0**-698], [1, 2, 3]) == want
+        # 1e-200 is no power-of-two multiple of 1, so only nearly the same.
+        assert rank_correlation([1e-200, 2e-200, 4e-200], [1, 2, 3]) == pytest.approx(want)
+        assert rank_correlation([1e-200, 2e-200, 3e-200], [1, 2, 3]) == pytest.approx(1.0)
 
     def test_errors(self):
         with pytest.raises(DataError, match="length mismatch"):
