@@ -27,6 +27,7 @@ from citenet import (
     tc_vs_if_comparison,
 )
 from citenet.study import _average_ranks, percent
+from test_concentration import outcome
 
 
 def make_docs(n, cites=None):
@@ -409,14 +410,6 @@ def exact_pearson(xs, ys):
     squared = sxy * sxy / (sxx * syy)
     root = math.isqrt(squared.numerator * 4**k // squared.denominator)
     return math.copysign(float(Fraction(root, 2**k)), sxy)
-
-
-def outcome(fn, *args):
-    """``fn``'s result, or the type and message of the error it raised."""
-    try:
-        return fn(*args)
-    except Exception as exc:
-        return type(exc).__name__, str(exc)
 
 
 class TestRankCorrelation:
