@@ -3,7 +3,8 @@
 The modules that compute with arrays write ``from ._numpy import np``.
 ``np`` imports numpy when one of its attributes is first read, and keeps
 each attribute it hands out, so a command that never touches an array
-(the docs-only study commands, ``h-index``) never pays for the import.
+(every command but the solvers and a ``--matrix`` input) never pays for
+the import.
 
 A thread that reads ``np.x`` while another is importing numpy waits on
 the import lock and sees numpy fully initialised. ``sys.modules`` only

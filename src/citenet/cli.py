@@ -63,7 +63,7 @@ def _stopping_options(parser: argparse.ArgumentParser, tol: float, max_iter: int
 
 
 def _journal_count_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--cite-year", type=int, required=True)
+    parser.add_argument("--cite-year", type=_positive_int, required=True)
     parser.add_argument("--by", choices=("cites", "articles", "references"), default="cites")
 
 
@@ -107,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     with _command(commands, "influence", "journal influence measures", _cmd_influence) as p:
         p.add_argument("--matrix", type=Path, help="journal matrix CSV")
         _corpus_options(p)
-        p.add_argument("--cite-year", type=int,
+        p.add_argument("--cite-year", type=_positive_int,
                        help="aggregate graph inputs over this citing year instead")
         p.add_argument("--source-years", metavar="A:B",
                        help="inclusive cited-year range (default: the two preceding years)")
@@ -128,12 +128,12 @@ def build_parser() -> argparse.ArgumentParser:
                   _cmd_total_cites) as p:
         _corpus_options(p)
         p.add_argument("--matrix", type=Path, help="journal matrix CSV (alternative source)")
-        p.add_argument("--cite-year", type=int, help="citing year (graph source)")
+        p.add_argument("--cite-year", type=_positive_int, help="citing year (graph source)")
         p.add_argument("--journal", help="restrict to one journal")
 
     with _command(commands, "impact-factor", "two-year impact factors", _cmd_impact_factor) as p:
         _corpus_options(p)
-        p.add_argument("--cite-year", type=int, required=True)
+        p.add_argument("--cite-year", type=_positive_int, required=True)
         p.add_argument("--journal", help="restrict to one journal")
         p.add_argument(
             "--doc-types",
@@ -166,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     with _command(commands, "stability", "top-N overlap between two years", _cmd_stability) as p:
         _corpus_options(p)
         _journal_count_options(p)
-        p.add_argument("--cite-year-b", type=int, required=True)
+        p.add_argument("--cite-year-b", type=_positive_int, required=True)
         p.add_argument("--top", type=_positive_int, required=True)
 
     p = commands.add_parser("study", help="validation-study tables")

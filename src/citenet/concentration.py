@@ -92,7 +92,7 @@ def bradford_partition(
     the boundary journal going to whichever side leaves the total nearer
     the target (counts are discrete, equal yield is not exactly
     attainable). Targets default to i * total / k; pass explicit
-    cumulative ``targets`` (k-1 increasing values) to reproduce
+    cumulative ``targets`` (k-1 increasing positive values) to reproduce
     partitions with known uneven splits. Every zone gets at least one
     journal.
 
@@ -114,6 +114,8 @@ def bradford_partition(
             raise DataError(f"expected {k - 1} cumulative targets, got {len(cut_targets)}")
         if not all(map(math.isfinite, cut_targets)):
             raise DataError("targets must be finite")
+        if min(cut_targets) <= 0:
+            raise DataError("targets must be positive")
         if cut_targets != sorted(cut_targets) or cut_targets[-1] > total:
             raise DataError("targets must be increasing and at most the total")
 

@@ -26,6 +26,7 @@ import io
 import math
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -127,26 +128,29 @@ class _RowReader:
 
 def _read_edges_with_lines(
     path: Path, strict: bool
-) -> tuple[dict[str, int], list[int], list[int], _RowReader]:
+) -> tuple[dict[str, int], list[int], list[int], list[int], _RowReader]:
     """The well-formed edge rows of ``path`` with their ids interned, as
-    ``(codes, lines, pairs, reader)``: ``codes`` maps each id to its
-    code in first-seen order, and row ``k`` starts on line ``lines[k]``
-    with (citing, cited) codes ``pairs[2k]``, ``pairs[2k + 1]``."""
+    ``(codes, lines, pairs, loops, reader)``: ``codes`` maps each id to
+    its code in first-seen order, and row ``k`` starts on line
+    ``lines[k]`` with (citing, cited) codes ``pairs[2k]``,
+    ``pairs[2k + 1]``; ``loops`` lists the rows ``k`` that are self-loops."""
     reader = _RowReader(path, strict, ["citing_id", "cited_id"])
-    codes, lines, pairs = {}, [], []
+    codes, lines, pairs, loops = {}, [], [], []
     for lineno, row in reader.records:
         if len(row) != 2 or not row[0] or not row[1]:
             if any(row):
                 reader.complain(lineno, f"malformed edge row {row!r}")
             continue
+        if row[0] == row[1]:
+            loops.append(len(lines))
         lines.append(lineno)
         pairs += (codes.setdefault(row[0], len(codes)), codes.setdefault(row[1], len(codes)))
-    return codes, lines, pairs, reader
+    return codes, lines, pairs, loops, reader
 
 
 def read_edges(path: Path, strict: bool = False) -> tuple[list[tuple[str, str]], list[str]]:
     """The (citing, cited) pairs of the well-formed rows of an edges file."""
-    codes, _, pairs, reader = _read_edges_with_lines(path, strict)
+    codes, _, pairs, _, reader = _read_edges_with_lines(path, strict)
     ids = list(codes)
     return [(ids[u], ids[v]) for u, v in zip(pairs[::2], pairs[1::2])], reader.warnings
 
@@ -305,34 +309,34 @@ def load_corpus(
             raise DataError("no input files given")
         doc_rows, warnings = read_docs(docs, strict)
         return CorpusBundle(build_graph((), doc_rows), warnings)
-    codes, lines, pairs, reader = _read_edges_with_lines(edges, strict)
+    codes, lines, pairs, loops, reader = _read_edges_with_lines(edges, strict)
     doc_rows, notes = read_docs(docs, strict) if docs is not None else (_DocColumns(()), [])
     reader.warnings += notes
-    if pairs:  # an edgeless corpus builds no arrays
-        ids = list(codes)
-        pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-        known = np.full(len(ids), docs is None)
-        known[[codes[doc_id] for doc_id in doc_rows.ids if doc_id in codes]] = True
-        # Dangling rows come before self-loops, so in strict mode the
-        # first dangling row wins over an earlier self-loop.
-        dangling = np.flatnonzero(~known[pairs].all(axis=1)).tolist()
-        for k, (u, v) in zip(dangling, pairs[dangling].tolist()):
-            unknown = ", ".join(ids[x] for x in (u, v) if not known[x])
-            reader.complain(lines[k], f"edge ({ids[u]},{ids[v]}) references unknown document "
-                            f"id(s) {unknown}")
-        loops = np.flatnonzero(pairs[:, 0] == pairs[:, 1]).tolist()
-        for k in loops:
-            reader.complain(lines[k], f"self-loop on {ids[pairs[k, 0]]!r} skipped")
-        pairs = np.delete(pairs, loops, axis=0)
-    return CorpusBundle(build_graph(_InternedEdges(codes, pairs), doc_rows), reader.warnings)
+    ids = list(codes)
+    # Dangling rows come before self-loops, so in strict mode the first
+    # dangling row wins over an earlier self-loop. Most corpora have a
+    # record for every id, and then no row needs a look.
+    lacking = codes.keys() - doc_rows.ids if docs is not None else ()
+    if lacking:
+        for k, (u, v) in enumerate(zip(pairs[::2], pairs[1::2])):
+            if ids[u] in lacking or ids[v] in lacking:
+                unknown = ", ".join(ids[x] for x in (u, v) if ids[x] in lacking)
+                reader.complain(lines[k], f"edge ({ids[u]},{ids[v]}) references unknown "
+                                f"document id(s) {unknown}")
+    for k in loops:
+        reader.complain(lines[k], f"self-loop on {ids[pairs[2 * k]]!r} skipped")
+    # The rows between the self-loops, copied a slice at a time.
+    bounds = [0, *(b for k in loops for b in (2 * k, 2 * k + 2)), len(pairs)]
+    kept = list(chain.from_iterable(pairs[a:b] for a, b in zip(bounds[::2], bounds[1::2])))
+    dropped = {pairs[2 * k] for k in loops}
+    return CorpusBundle(build_graph(_InternedEdges(codes, kept, dropped), doc_rows),
+                        reader.warnings)
 
 
 def write_edges(graph: CitationGraph, path: Path) -> None:
     """Write the edge list, one row per citation instance, sorted."""
-    src, dst, mult = graph.edge_arrays()
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["citing_id", "cited_id"])
-        rows = zip(np.repeat(src, mult).tolist(), np.repeat(dst, mult).tolist())
+        rows = sorted(zip(*graph.edge_rows))
         writer.writerows((graph.nodes[u], graph.nodes[v]) for u, v in rows)
-

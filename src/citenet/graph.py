@@ -12,8 +12,9 @@ readers may query them concurrently.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
+from collections import Counter
+from collections.abc import Callable, Iterable, Mapping, Sequence
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import compress
@@ -67,7 +68,7 @@ def _check_document(doc_id: str, year: int, authors: tuple[str, ...], cites: int
         raise DataError("document id must be nonempty")
     if not isinstance(year, int) or year <= 0:
         raise DataError(f"document {doc_id!r}: year must be a positive integer")
-    if year >= 2**63:  # the graph's node columns hold years as int64
+    if year >= 2**63:  # aggregate_to_journal_matrix holds years as int64
         raise DataError(f"document {doc_id!r}: year {year} is out of range")
     if not all(map(str.strip, authors)):
         raise DataError(f"document {doc_id!r}: author names must be nonempty")
@@ -130,28 +131,28 @@ class TimeWindow:
 class CitationGraph:
     """Directed document-level citation graph.
 
-    The edges are three int64 arrays over ``nodes``: document ``src[k]``
-    cites document ``dst[k]`` ``mult[k]`` times. There is one entry per
-    distinct (citing, cited) pair, so parallel citations are kept as
-    multiplicity, and entries are sorted by (src, dst). ``nodes`` is
-    sorted, so two graphs built from permutations of the same input
-    compare equal. A graph without edges holds ``None`` for the arrays
-    and never imports numpy on its own.
+    The graph holds its edge rows as one list of int codes, citing,
+    cited, citing, ..., one row per citation instance, so parallel
+    citations are kept as repeated rows. Codes are the order in which
+    ids were first seen; ``_rank[code]`` is the id's position in
+    ``nodes``. ``nodes`` is sorted, so two graphs built from
+    permutations of the same input compare equal. Journal counts walk
+    the rows in Python (``edge_rows``); only ``edge_arrays()``, the
+    deduplicated arrays the solvers iterate, imports numpy.
 
-    ``edges`` lists the same entries as (citing, cited, multiplicity)
-    string tuples, derived from the arrays on first read. The documents
-    are held as columns beside the arrays, and ``metadata`` maps each id
-    to its :class:`DocumentRecord`, built from them on first read.
-    ``CitationGraph(nodes, edges, metadata)`` builds the arrays from
-    such tuples, in the order given, and the columns from the records;
-    ``build_graph`` is the usual way to make a graph.
+    ``edges`` lists the distinct (citing, cited, multiplicity) pairs in
+    ``edge_arrays()`` order. The documents are held as columns beside
+    the rows, and ``metadata`` maps each id to its
+    :class:`DocumentRecord`, built from them on first read.
+    ``CitationGraph(nodes, edges, metadata)`` builds the rows from such
+    tuples, coding each id by its position in ``nodes``, and the columns
+    from the records; ``build_graph`` is the usual way to make a graph.
     """
 
     nodes: tuple[str, ...]
-    src: np.ndarray | None
-    dst: np.ndarray | None
-    mult: np.ndarray | None
-    _docs: _DocColumns
+    _pairs: list[int] = field(repr=False)
+    _rank: Sequence[int] = field(repr=False)
+    _docs: _DocColumns = field(repr=False)
 
     def __init__(
         self,
@@ -160,22 +161,27 @@ class CitationGraph:
         metadata: Mapping[str, DocumentRecord] | None = None,
     ) -> None:
         object.__setattr__(self, "nodes", tuple(nodes))
-        index = self._node_index
-        docs = _DocColumns.of((metadata or {}).values())
-        self._set_edges(docs, *zip(*((index[u], index[v], m) for u, v, m in edges)))
+        pairs = [self._node_index[x] for u, v, m in edges for x in (u, v) * m]
+        rank = list(range(len(self.nodes)))  # a list maps codes faster than a range
+        self._set_edges(_DocColumns.of((metadata or {}).values()), pairs, rank)
 
-    def _set_edges(self, docs: _DocColumns, *arrays) -> None:
-        """Set the document columns and, given (src, dst, mult) int sequences, the arrays."""
-        arrays = [np.array(a, dtype=np.int64) for a in arrays] or [None] * 3
-        for name, value in zip(("_docs", "src", "dst", "mult"), (docs, *arrays)):
+    def _set_edges(self, docs: _DocColumns, pairs: list[int], rank: Sequence[int]) -> None:
+        """Set the document columns, the edge rows and the code -> node position map."""
+        for name, value in (("_docs", docs), ("_pairs", pairs), ("_rank", rank)):
             object.__setattr__(self, name, value)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CitationGraph):
             return NotImplemented
-        pairs = zip(self.edge_arrays(), other.edge_arrays())
-        same = all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in pairs)
-        return same and (self.nodes, self.metadata) == (other.nodes, other.metadata)
+        return (self.nodes, self.edges, self.metadata) == (other.nodes, other.edges, other.metadata)
+
+    def _derived(self, key: tuple, compute: Callable[[], object]):
+        """``compute()``, computed once per ``key``: a value that another
+        module derives from this immutable graph, such as a count vector.
+        Threads racing on a new key may each compute it; all get the
+        value stored first."""
+        memo = vars(self).setdefault("_memo", {})
+        return memo[key] if key in memo else memo.setdefault(key, compute())
 
     @cached_property
     def _node_index(self) -> dict[str, int]:
@@ -189,10 +195,11 @@ class CitationGraph:
     @cached_property
     def edges(self) -> tuple[tuple[str, str, int], ...]:
         """(citing, cited, multiplicity) per distinct pair, in array order."""
-        if self.mult is None:
+        if not self._pairs:
             return ()
+        src, dst, mult = self.edge_arrays()
         names = np.array(self.nodes, dtype=object)
-        return tuple(zip(names[self.src].tolist(), names[self.dst].tolist(), self.mult.tolist()))
+        return tuple(zip(names[src].tolist(), names[dst].tolist(), mult.tolist()))
 
     @property
     def n_nodes(self) -> int:
@@ -201,15 +208,15 @@ class CitationGraph:
     @property
     def n_edges(self) -> int:
         """Total edge multiplicity (number of citation instances)."""
-        return 0 if self.mult is None else int(self.mult.sum())
+        return len(self._pairs) // 2
 
     def in_degree(self, node: str) -> int:
         """Number of citations received by ``node`` (inlinks, with multiplicity)."""
-        return int(self._degrees[0][self._position(node)])
+        return self._degrees[0][self._position(node)]
 
     def out_degree(self, node: str) -> int:
         """Number of references given by ``node`` (outlinks, with multiplicity)."""
-        return int(self._degrees[1][self._position(node)])
+        return self._degrees[1][self._position(node)]
 
     def _position(self, node: str) -> int:
         try:
@@ -218,20 +225,30 @@ class CitationGraph:
             raise DataError(f"unknown node {node!r}") from None
 
     @cached_property
-    def _degrees(self) -> tuple[np.ndarray, np.ndarray]:
-        src, dst, mult = self.edge_arrays()
-        n = len(self.nodes)
-        return (
-            np.bincount(dst, weights=mult, minlength=n).astype(np.int64),
-            np.bincount(src, weights=mult, minlength=n).astype(np.int64),
-        )
+    def _degrees(self) -> tuple[Counter, Counter]:
+        citing, cited = self.edge_rows
+        return Counter(cited), Counter(citing)
+
+    @cached_property
+    def edge_rows(self) -> tuple[list[int], list[int]]:
+        """(citing, cited) node positions, one entry per citation instance."""
+        rows = list(map(self._rank.__getitem__, self._pairs))
+        return rows[0::2], rows[1::2]
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The (src, dst, mult) arrays; empty int64 arrays for a graph
-        without edges."""
-        if self.mult is None:
-            return (np.zeros(0, dtype=np.int64),) * 3
-        return self.src, self.dst, self.mult
+        """The (src, dst, mult) int64 arrays over node positions: document
+        ``src[k]`` cites ``dst[k]`` ``mult[k]`` times, one entry per
+        distinct pair, sorted by (src, dst). Empty for a graph without
+        edges."""
+        return self._edge_arrays
+
+    @cached_property
+    def _edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        n = len(self.nodes)
+        rank = np.array(self._rank, dtype=np.int64)
+        src, dst = rank[np.array(self._pairs, dtype=np.int64)].reshape(-1, 2).T
+        keys, mult = np.unique(src * n + dst, return_counts=True)
+        return (*divmod(keys, n), mult)
 
     def journals(self) -> tuple[str, ...]:
         """Distinct venues appearing in document metadata, sorted."""
@@ -252,35 +269,31 @@ class CitationGraph:
         except KeyError:
             raise DataError(f"unknown journal {journal!r}") from None
 
-    def node_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-node (journal code, year, doc-type code) arrays in ``nodes`` order.
+    def node_columns(self) -> tuple[list[int], list[int], list[int]]:
+        """Per-node (journal code, year, doc-type code) lists in ``nodes`` order.
 
         The journal code indexes ``journals()`` and is -1 for a node with
         no record or no venue; the year is 0 for a node with no record
         (a real year is always >= 1); the doc-type code indexes
         ``list(DocType)`` and is -1 for a node with no record. Every
-        journal metric is a masked count over these columns and
-        ``edge_arrays()``.
+        journal metric counts over these columns and ``edge_rows``.
         """
         return self._node_columns
 
     @cached_property
-    def _node_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _node_columns(self) -> tuple[list[int], list[int], list[int]]:
         n = len(self.nodes)
-        journal = np.full(n, -1, dtype=np.int64)
-        year = np.zeros(n, dtype=np.int64)
-        doc_type = np.full(n, -1, dtype=np.int64)
+        journal, year, doc_type = [-1] * n, [0] * n, [-1] * n
         docs, idx = self._docs, self._node_index
-        try:
-            at = [idx[doc_id] for doc_id in docs.ids]
-        except KeyError as exc:
-            doc_id = exc.args[0]
-            raise DataError(f"document {doc_id!r} has a record but is not a graph node") from None
         codes = self._journal_codes
         type_codes = {t: code for code, t in enumerate(DocType)}
-        journal[at] = [codes.get(venue, -1) for venue in docs.venues]
-        year[at] = docs.years
-        doc_type[at] = [type_codes[t] for t in docs.doc_types]
+        for doc_id, venue, doc_year, t in zip(docs.ids, docs.venues, docs.years, docs.doc_types):
+            try:
+                i = idx[doc_id]
+            except KeyError:
+                raise DataError(
+                    f"document {doc_id!r} has a record but is not a graph node") from None
+            journal[i], year[i], doc_type[i] = codes.get(venue, -1), doc_year, type_codes[t]
         return journal, year, doc_type
 
     def docs_by_author(self, author: str) -> tuple[DocumentRecord, ...]:
@@ -305,11 +318,13 @@ class CitationGraph:
 @dataclass(frozen=True)
 class _InternedEdges:
     """Edge rows that ``load_corpus`` has already interned and checked:
-    ``pairs`` holds (citing, cited) codes into ``codes``, as a (k, 2) int
-    array with no self-loops, or an empty list."""
+    ``pairs`` holds (citing, cited) codes into ``codes``, interleaved,
+    with no self-loops. The codes in ``dropped`` named rows that were
+    skipped; one that no other row or document names is not a node."""
 
     codes: dict[str, int]
-    pairs: np.ndarray | list[int]
+    pairs: list[int]
+    dropped: set[int]
 
 
 def build_graph(
@@ -323,9 +338,9 @@ def build_graph(
     document ids; an empty edge list is accepted.
     """
     if isinstance(edge_list, _InternedEdges):  # load_corpus's rows skip the checks below
-        codes, pairs = dict(edge_list.codes), edge_list.pairs
+        codes, pairs, dropped = dict(edge_list.codes), edge_list.pairs, edge_list.dropped
     else:
-        codes, pairs = {}, []  # pairs: citing, cited, citing, ... in first-seen id codes
+        codes, pairs, dropped = {}, [], set()  # pairs: citing, cited, ... in first-seen codes
         for citing, cited in edge_list:
             if not citing or not cited:
                 raise DataError(f"edge ({citing!r}, {cited!r}) has an empty endpoint")
@@ -334,27 +349,25 @@ def build_graph(
             pairs += (codes.setdefault(citing, len(codes)), codes.setdefault(cited, len(codes)))
 
     docs = docs if isinstance(docs, _DocColumns) else _DocColumns.of(docs or ())
-    if not len(pairs):  # a docs-only graph needs no arrays
+    if not pairs:  # a docs-only graph needs no codes
         graph = CitationGraph(sorted(docs.ids))
-        graph._set_edges(docs)
+        graph._set_edges(docs, [], ())
         return graph
     doc_codes = [codes.setdefault(doc_id, len(codes)) for doc_id in docs.ids]
-
-    # Only the ids in use are sorted (load_corpus interns the ids of rows it
-    # then skips); rank renumbers their codes into that order, so the pair
-    # keys sort exactly as the (citing, cited) strings.
+    # Only the ids in use are nodes (load_corpus interns the ids of rows it
+    # then skips), in sorted order; rank maps each code to its node, so
+    # edge_arrays' pair keys sort exactly as the (citing, cited) strings.
     ids = list(codes)
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    used = np.zeros(len(ids), dtype=bool)
-    used[pairs] = used[doc_codes] = True
-    order = sorted(np.flatnonzero(used).tolist(), key=ids.__getitem__)
-    n = len(order)
-    rank = np.zeros(len(ids), dtype=np.int64)
-    rank[order] = np.arange(n)
-    src, dst = rank[pairs].T
-    keys, mult = np.unique(src * n + dst, return_counts=True)
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    unused = dropped.difference(doc_codes)
+    if unused:
+        unused -= set(pairs)
+        order = [code for code in order if code not in unused]
+    rank = [0] * len(ids)  # an unused code keeps 0: no row names it
+    for position, code in enumerate(order):
+        rank[code] = position
     graph = CitationGraph(map(ids.__getitem__, order))
-    graph._set_edges(docs, *divmod(keys, n), mult)
+    graph._set_edges(docs, pairs, rank)
     return graph
 
 
@@ -462,7 +475,7 @@ def aggregate_to_journal_matrix(
     Raises :class:`DataError` when a document inside the window has no
     venue (the first in ``nodes`` order is named).
     """
-    journal, year, _ = graph.node_columns()
+    journal, year = (np.array(column, dtype=np.int64) for column in graph.node_columns()[:2])
     first, last = window.source_years
     dated = year > 0  # nodes without a record carry year 0
     in_source = dated & (year >= first) & (year <= last)

@@ -5,9 +5,9 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import compress
 from typing import NamedTuple
 
-from ._numpy import np
 from .errors import DataError, UndefinedMetricError
 from .graph import CitationGraph, DocType, TimeWindow
 
@@ -58,7 +58,7 @@ def total_cites(graph: CitationGraph, journal: str, window: TimeWindow) -> int:
     cited item's age (this is the annual cited count, so old classics
     keep contributing)."""
     code = graph.journal_index(journal)
-    return int(_cite_counts(graph, window.cite_year)[code])
+    return _cite_counts(graph, window.cite_year)[code]
 
 
 def impact_factor(inp: ImpactFactorInput) -> float:
@@ -89,7 +89,7 @@ def impact_factor_from_graph(
         raise UndefinedMetricError(
             f"journal {journal!r} published no countable items in {first}-{last}"
         )
-    return impact_factor(ImpactFactorInput(int(cites[code]), int(items[code])))
+    return impact_factor(ImpactFactorInput(cites[code], items[code]))
 
 
 def impact_factors(
@@ -104,30 +104,28 @@ def impact_factors(
     and the journals without any, for which it is undefined. Items and
     citations are as in :func:`impact_factor_from_graph`.
     """
-    cites, items = _impact_counts(graph, cite_year, doc_types)
-    values: dict[str, float] = {}
-    excluded: list[str] = []
-    for name, n_cites, n_items in zip(graph.journals(), cites.tolist(), items.tolist()):
-        if n_items:
-            values[name] = impact_factor(ImpactFactorInput(n_cites, n_items))
-        else:
-            excluded.append(name)
-    return values, tuple(excluded)
+    rows = list(zip(graph.journals(), *_impact_counts(graph, cite_year, doc_types)))
+    values = {name: impact_factor(ImpactFactorInput(cites, items)) for name, cites, items in rows
+              if items}
+    return values, tuple(name for name, _, items in rows if not items)
 
 
 def _impact_counts(
     graph: CitationGraph, cite_year: int, doc_types: Iterable[DocType] | None
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[list[int], list[int]]:
     """Per-journal numerator and denominator of the two-year impact factor."""
-    src, dst, mult = graph.edge_arrays()
-    journal, year, doc_type = graph.node_columns()
-    first, last = TimeWindow.two_year(cite_year).source_years
-    item = (year >= first) & (year <= last)
-    if doc_types is not None:
-        allowed = set(doc_types)
-        item &= np.isin(doc_type, [code for code, t in enumerate(DocType) if t in allowed])
-    cited = item[dst] & _dated(year, cite_year)[src]
-    return _per_journal(graph, journal[dst], cited, mult), _per_journal(graph, journal, item)
+    allowed = set(DocType if doc_types is None else doc_types)
+
+    def count() -> tuple[list[int], list[int]]:
+        journal, year, doc_type = graph.node_columns()
+        first, last = TimeWindow.two_year(cite_year).source_years
+        types = [t in allowed for t in DocType] + [False]  # code -1: no record
+        item = [first <= y <= last and types[t] for y, t in zip(year, doc_type)]
+        citing = _dated(year, cite_year)
+        cited = (journal[v] for u, v in zip(*graph.edge_rows) if item[v] and citing[u])
+        return _per_journal(graph, cited), _per_journal(graph, compress(journal, item))
+
+    return graph._derived(("impact", cite_year, frozenset(allowed)), count)
 
 
 def h_index(profile: CitationProfile | Sequence[int]) -> int:
@@ -157,40 +155,35 @@ def profile_summary(profile: CitationProfile | Sequence[int]) -> ProfileSummary:
     return ProfileSummary(h, core[0], core[0] - core[-1], sum(core))
 
 
-def _dated(year: np.ndarray, wanted: int) -> np.ndarray:
+def _dated(year: list[int], wanted: int) -> list[bool]:
     """Node mask: documents with a record published in ``wanted``.
 
     Nodes without a record carry year 0, which no real year matches.
     """
-    return (year == wanted) & (wanted > 0)
+    return [y == wanted for y in year] if wanted > 0 else [False] * len(year)
 
 
-def _per_journal(
-    graph: CitationGraph,
-    codes: np.ndarray,
-    keep: np.ndarray,
-    weights: np.ndarray | None = None,
-) -> np.ndarray:
-    """Group-by-journal sum: ``weights`` (1 each by default) of the
-    entries selected by ``keep``, summed per journal code. Entries
-    without a journal (code -1) are dropped. One int64 slot per journal
-    in ``graph.journals()`` order."""
-    keep = keep & (codes >= 0)
-    return np.bincount(
-        codes[keep],
-        weights=None if weights is None else weights[keep],
-        minlength=len(graph.journals()),
-    ).astype(np.int64)
+def _per_journal(graph: CitationGraph, codes: Iterable[int]) -> list[int]:
+    """Group-by-journal count: how often each journal code occurs in
+    ``codes``, one slot per journal in ``graph.journals()`` order.
+    Entries without a journal (code -1) are dropped."""
+    counts = [0] * (len(graph.journals()) + 1)  # code -1 lands in the last slot
+    for code in codes:
+        counts[code] += 1
+    return counts[:-1]
 
 
-def _cite_counts(graph: CitationGraph, cite_year: int) -> np.ndarray:
-    src, dst, mult = graph.edge_arrays()
-    journal, year, _ = graph.node_columns()
-    return _per_journal(graph, journal[dst], _dated(year, cite_year)[src], mult)
+def _cite_counts(graph: CitationGraph, cite_year: int) -> list[int]:
+    def count() -> list[int]:
+        journal, year, _ = graph.node_columns()
+        citing = _dated(year, cite_year)
+        return _per_journal(graph, (journal[v] for u, v in zip(*graph.edge_rows) if citing[u]))
+
+    return graph._derived(("cites", cite_year), count)
 
 
-def _as_dict(graph: CitationGraph, counts: np.ndarray) -> dict[str, int]:
-    return dict(zip(graph.journals(), counts.tolist()))
+def _as_dict(graph: CitationGraph, counts: list[int]) -> dict[str, int]:
+    return dict(zip(graph.journals(), counts))
 
 
 def journal_cite_counts(graph: CitationGraph, cite_year: int) -> dict[str, int]:
@@ -202,12 +195,12 @@ def journal_cite_counts(graph: CitationGraph, cite_year: int) -> dict[str, int]:
 def journal_article_counts(graph: CitationGraph, year: int) -> dict[str, int]:
     """Documents published per journal in ``year``."""
     journal, years, _ = graph.node_columns()
-    return _as_dict(graph, _per_journal(graph, journal, _dated(years, year)))
+    return _as_dict(graph, _per_journal(graph, compress(journal, _dated(years, year))))
 
 
 def journal_reference_counts(graph: CitationGraph, year: int) -> dict[str, int]:
     """References given per journal by documents published in ``year``."""
-    src, _, mult = graph.edge_arrays()
     journal, years, _ = graph.node_columns()
-    return _as_dict(graph, _per_journal(graph, journal[src], _dated(years, year)[src], mult))
-
+    citing = _dated(years, year)
+    return _as_dict(graph, _per_journal(graph, (journal[u] for u in graph.edge_rows[0]
+                                                if citing[u])))

@@ -373,6 +373,44 @@ class TestExitCodes:
                 2,
                 "citenet: error: targets must be finite",
             ),
+            (
+                ["bradford", "--cite-year", "2005", "--zones", "2", "--targets", "-5"],
+                2,
+                "citenet: error: targets must be positive",
+            ),
+            (
+                ["bradford", "--cite-year", "2005", "--zones", "2", "--targets", "0"],
+                2,
+                "citenet: error: targets must be positive",
+            ),
+            # No document year is below 1, so neither is a cite year; the
+            # year is checked before the inputs are read.
+            (
+                ["total-cites", "--cite-year", "-1"],
+                1,
+                "citenet total-cites: argument --cite-year: -1 must be >= 1",
+            ),
+            (
+                ["impact-factor", "--cite-year", "0", *MISSING_INPUTS],
+                1,
+                "citenet impact-factor: argument --cite-year: 0 must be >= 1",
+            ),
+            (
+                ["bradford", "--cite-year", "0", *MISSING_INPUTS],
+                1,
+                "citenet bradford: argument --cite-year: 0 must be >= 1",
+            ),
+            (
+                ["stability", "--cite-year", "2005", "--cite-year-b", "0", "--top", "1",
+                 *MISSING_INPUTS],
+                1,
+                "citenet stability: argument --cite-year-b: 0 must be >= 1",
+            ),
+            (
+                ["influence", "--cite-year", "-3", *MISSING_INPUTS],
+                1,
+                "citenet influence: argument --cite-year: -3 must be >= 1",
+            ),
         ],
     )
     def test_bad_option_value(self, args, code, err, capsys):
@@ -584,7 +622,7 @@ class TestCliBehaviors:
         assert main([*args, "--out-dir", str(tmp_path)]) == 0
         [graph] = graphs
         assert "metadata" not in vars(graph)
-        assert graph.src is graph.dst is graph.mult is None
+        assert graph.n_edges == 0 and "_edge_arrays" not in vars(graph)
         assert len(graph.metadata) == graph.n_nodes > 0
 
 

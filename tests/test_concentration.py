@@ -132,6 +132,10 @@ class TestBradfordPartition:
         for k, targets in ((2, [math.nan]), (3, [5, math.nan]), (3, [-math.inf, 5])):
             with pytest.raises(DataError, match="targets must be finite"):
                 bradford_partition(ranked, k=k, targets=targets)
+        # A target at or below zero closes no zone where it says.
+        for k, targets in ((2, [0]), (2, [-5]), (3, [-1, 5]), (3, [0, 5])):
+            with pytest.raises(DataError, match="targets must be positive"):
+                bradford_partition(ranked, k=k, targets=targets)
 
     def test_errors(self):
         ranked = RankedCounts.from_counts({"a": 0, "b": 0})
@@ -160,6 +164,8 @@ def three_close_bradford_partition(ranked, k=3, targets=None):
         cut_targets = [float(t) for t in targets]
         if len(cut_targets) != k - 1:
             raise DataError(f"expected {k - 1} cumulative targets, got {len(cut_targets)}")
+        if min(cut_targets) <= 0:
+            raise DataError("targets must be positive")
         if cut_targets != sorted(cut_targets) or cut_targets[-1] > total:
             raise DataError("targets must be increasing and at most the total")
 

@@ -1,9 +1,10 @@
 """The int-coded journal group-by against plain string-walk references.
 
-Every journal metric is a masked ``np.bincount`` over the graph's node
-columns and edge arrays. The reference functions below walk
-``graph.edges`` and ``graph.metadata`` one entry at a time, as the
-metrics did before the group-by; results must agree exactly.
+Every journal metric counts journal codes in Python over the graph's
+node columns and its raw edge rows (``edge_rows``, one per citation
+instance). The reference functions below walk ``graph.edges`` and
+``graph.metadata`` one entry at a time, weighting each distinct pair by
+its multiplicity; results must agree exactly.
 """
 
 import random
@@ -307,6 +308,33 @@ class TestAgainstStringWalk:
         without = build_graph(kept, docs=list(g.metadata.values()))
         assert aggregate_to_journal_matrix(g, window) == aggregate_to_journal_matrix(
             without, window)
+
+
+def test_per_journal_calls_walk_the_rows_once(monkeypatch):
+    # A per-journal loop (the benchmark's journal-scaling probe makes one
+    # of 200 calls) reads a count vector kept on the graph: one walk per
+    # cite year and doc-type set, not one per journal.
+    rng = random.Random(3)
+    docs = [DocumentRecord(f"d{i:04d}", f"J{i % 200:03d}", rng.choice((2003, 2004, 2005)))
+            for i in range(1000)]
+    edges = [(rng.choice(docs).id, rng.choice(docs).id) for _ in range(3000)]
+    g = build_graph([(u, v) for u, v in edges if u != v], docs)
+    walks = []
+    rows = vars(CitationGraph)["edge_rows"]
+    monkeypatch.setattr(CitationGraph, "edge_rows",
+                        property(lambda self: walks.append(1) or rows.__get__(self)))
+    journals = g.journals()
+    assert len(journals) == 200
+    window = TimeWindow(2005, (2005, 2005))
+    totals = [total_cites(g, journal, window) for journal in journals]
+    assert len(walks) == 1
+    assert totals == [ref_total_cites(g, journal, window) for journal in journals]
+    for doc_types in (None, [DocType.ARTICLE], None, [DocType.ARTICLE]):
+        for journal in journals:
+            impact_factor_from_graph(g, journal, 2005, doc_types)
+    assert len(walks) == 3
+    total_cites(g, journals[0], TimeWindow(2004, (2004, 2004)))
+    assert len(walks) == 4
 
 
 class TestNodeColumns:

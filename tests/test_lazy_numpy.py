@@ -1,5 +1,6 @@
-"""numpy is imported on first array use (``citenet._numpy``), and each
-citenet module when a command first runs it.
+"""numpy is imported on first array use (``citenet._numpy``), which only
+the solver commands reach, and each citenet module when a command first
+runs it.
 
 Each test runs in a fresh interpreter, where numpy is not yet imported.
 """
@@ -158,6 +159,47 @@ def test_commands_load_only_the_modules_they_run(commands, unused, tmp_path):
     run = run_fresh(script, json.dumps([commands, unused]))
     assert run.returncode == 0, run.stderr
     assert (tmp_path / "h-index.txt").exists()
+
+
+JOURNAL_COMMANDS = [
+    ["total-cites", *MINI, "--cite-year", "2005"],
+    ["total-cites", *MINI, "--cite-year", "2005", "--journal", "Alpha"],
+    ["impact-factor", *MINI, "--cite-year", "2005"],
+    ["impact-factor", *MINI, "--cite-year", "2005", "--journal", "Alpha"],
+    ["impact-factor", *MINI, "--cite-year", "2005", "--doc-types", "article,review"],
+    ["bradford", *MINI, "--cite-year", "2005", "--zones", "2"],
+    ["share-curve", *MINI, "--cite-year", "2005", "--share", "0.5", "--threshold", "2"],
+    ["stability", *MINI, "--cite-year", "2005", "--cite-year-b", "2004", "--top", "1"],
+    ["stability", *MINI, "--cite-year", "2005", "--cite-year-b", "2004", "--top", "1",
+     "--by", "articles"],
+    ["stability", *MINI, "--cite-year", "2005", "--cite-year-b", "2004", "--top", "1",
+     "--by", "references"],
+]
+
+
+@pytest.mark.parametrize("solver", [
+    ["influence", *MINI, "--cite-year", "2005", "--prune-nonreferencing"],
+    ["pagerank", *MINI],
+    ["hits", *MINI],
+], ids=lambda args: args[0])
+def test_only_solver_commands_import_numpy(solver, tmp_path):
+    # The journal and concentration commands count with Python ints; a
+    # solver iterates arrays, and so does the journal matrix it reads.
+    out = ["--out-dir", str(tmp_path)]
+    script = textwrap.dedent("""
+        import json, sys
+        import citenet.cli
+        journal, solver = json.loads(sys.argv[1])
+        for args in journal:
+            assert citenet.cli.main(args) == 0, args
+        assert "numpy" not in sys.modules, "a journal command imported numpy"
+        assert citenet.cli.main(solver) == 0
+        assert "numpy" in sys.modules, solver
+    """)
+    commands = [[*args, *out] for args in JOURNAL_COMMANDS], [*solver, *out]
+    run = run_fresh(script, json.dumps(commands))
+    assert run.returncode == 0, run.stderr
+    assert (tmp_path / "stability.txt").exists()
 
 
 def test_bench_tracer_targets_exist_after_cli_import():
