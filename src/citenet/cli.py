@@ -233,7 +233,7 @@ def _option_value(args: argparse.Namespace, option: str, parse):
     file is read.
     """
     text = getattr(args, option[2:].replace("-", "_"))
-    if not text:
+    if text is None:
         return None
     try:
         value = parse(text)
@@ -432,7 +432,7 @@ def _cmd_total_cites(args) -> tuple[list[tuple[str, StudyTable]], int]:
 
 
 def _cmd_impact_factor(args) -> tuple[list[tuple[str, StudyTable]], int]:
-    from . import metrics, ranking
+    from . import concentration, metrics
 
     doc_types = _option_value(
         args, "--doc-types", lambda text: [DocType(t.strip()) for t in text.split(",") if t.strip()]
@@ -450,7 +450,7 @@ def _cmd_impact_factor(args) -> tuple[list[tuple[str, StudyTable]], int]:
         )
     table = _ranked_table(
         f"Two-year impact factor for {args.cite_year}", ("Journal", "Impact Factor"), ("s", "f"),
-        ranking.ScoreVector(values).ranked(),
+        concentration.RankedCounts.from_counts(values).items,
         footnotes=footnotes,
     )
     return [("impact-factor", table)], EXIT_OK

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DataError
 
@@ -44,8 +45,7 @@ class RankedCounts:
         return {name for name, _ in self.items[:n]}
 
 
-@dataclass(frozen=True)
-class BradfordZone:
+class BradfordZone(NamedTuple):
     journals: tuple[str, ...]
     item_count: int
 
@@ -54,8 +54,7 @@ class BradfordZone:
         return len(self.journals)
 
 
-@dataclass(frozen=True)
-class BradfordPartition:
+class BradfordPartition(NamedTuple):
     """Rank-ordered zones of roughly equal yield, plus the estimated
     zone-size multiplier (zone sizes ideally grow as 1 : n : n^2)."""
 

@@ -25,10 +25,9 @@ import csv
 import io
 import math
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from ._numpy import np
 from .errors import DataError
@@ -45,12 +44,11 @@ _FLAGS = _TRUE | _FALSE
 _DOC_TYPES = {"": DocType.OTHER} | {t.value: t for t in DocType}  # an empty type is OTHER
 
 
-@dataclass
-class CorpusBundle:
+class CorpusBundle(NamedTuple):
     """Citation graph plus the warnings collected while loading it."""
 
     graph: CitationGraph
-    warnings: list[str] = field(default_factory=list)
+    warnings: list[str]
 
 
 def _csv_records(path: Path) -> Iterator[tuple[int, list[str]]]:
@@ -275,10 +273,10 @@ def read_xy(
         raise DataError(f"{path}: need a header row with at least two columns")
     x_col = x_col or header[0]
     y_col = y_col or header[1]
-    try:
-        xi, yi = header.index(x_col), header.index(y_col)
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from None
+    for col in (x_col, y_col):
+        if col not in header:
+            raise DataError(f"{path}: no column {col!r} in the header")
+    xi, yi = header.index(x_col), header.index(y_col)
     pairs: list[tuple[float, float]] = []
 
     def parse_pair(row: list[str]) -> None:

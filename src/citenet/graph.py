@@ -14,10 +14,11 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import compress
+from typing import NamedTuple
 
 from ._numpy import np
 from .errors import DataError
@@ -127,7 +128,6 @@ class TimeWindow:
         return cls(cite_year, (cite_year - 2, cite_year - 1))
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class CitationGraph:
     """Directed document-level citation graph.
 
@@ -147,12 +147,14 @@ class CitationGraph:
     ``CitationGraph(nodes, edges, metadata)`` builds the rows from such
     tuples, coding each id by its position in ``nodes``, and the columns
     from the records; ``build_graph`` is the usual way to make a graph.
+    A graph is immutable: assigning or deleting an attribute raises
+    ``AttributeError``.
     """
 
     nodes: tuple[str, ...]
-    _pairs: list[int] = field(repr=False)
-    _rank: Sequence[int] = field(repr=False)
-    _docs: _DocColumns = field(repr=False)
+    _pairs: list[int]
+    _rank: Sequence[int]
+    _docs: _DocColumns
 
     def __init__(
         self,
@@ -160,15 +162,19 @@ class CitationGraph:
         edges: Iterable[tuple[str, str, int]] = (),
         metadata: Mapping[str, DocumentRecord] | None = None,
     ) -> None:
-        object.__setattr__(self, "nodes", tuple(nodes))
+        vars(self)["nodes"] = tuple(nodes)
         pairs = [self._node_index[x] for u, v, m in edges for x in (u, v) * m]
         rank = list(range(len(self.nodes)))  # a list maps codes faster than a range
         self._set_edges(_DocColumns.of((metadata or {}).values()), pairs, rank)
 
     def _set_edges(self, docs: _DocColumns, pairs: list[int], rank: Sequence[int]) -> None:
         """Set the document columns, the edge rows and the code -> node position map."""
-        for name, value in (("_docs", docs), ("_pairs", pairs), ("_rank", rank)):
-            object.__setattr__(self, name, value)
+        vars(self).update(_docs=docs, _pairs=pairs, _rank=rank)
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"cannot assign or delete {name!r}: a CitationGraph is immutable")
+
+    __delattr__ = __setattr__
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CitationGraph):
@@ -315,8 +321,7 @@ class CitationGraph:
         return index
 
 
-@dataclass(frozen=True)
-class _InternedEdges:
+class _InternedEdges(NamedTuple):
     """Edge rows that ``load_corpus`` has already interned and checked:
     ``pairs`` holds (citing, cited) codes into ``codes``, interleaved,
     with no self-loops. The codes in ``dropped`` named rows that were

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import TypeVar
+from typing import NamedTuple, TypeVar
 
 from ._numpy import np
 from .errors import DataError
@@ -116,8 +116,7 @@ def _scores(ids: Sequence[str], x: np.ndarray, *trace) -> ScoreVector:
     return ScoreVector(dict(zip(ids, x.tolist())), *trace)
 
 
-@dataclass(frozen=True)
-class InfluenceResult:
+class InfluenceResult(NamedTuple):
     """The three journal influence measures for one matrix.
 
     ``total`` is ``per_publication`` times the publication count,
@@ -285,11 +284,5 @@ def influence_metrics(
     w = np.array([weights[j] for j in matrix.journals])
     per_pub = _scores(matrix.journals, _weighted_received(matrix)(w) / matrix.pubs)
     pubs = dict(zip(matrix.journals, matrix.pubs.tolist()))
-    return InfluenceResult(
-        weights=weights,
-        per_publication=per_pub,
-        total=total_influence(per_pub, pubs),
-        iterations=weights.iterations,
-        residual=weights.residual,
-        converged=weights.converged,
-    )
+    return InfluenceResult(weights, per_pub, total_influence(per_pub, pubs),
+                           weights.iterations, weights.residual, weights.converged)

@@ -350,8 +350,7 @@ class TestExitCodes:
                 1,
                 "citenet total-cites: --matrix cannot be combined with --edges, --cite-year",
             ),
-            # As 'bogus' above: only commas and blanks name no type at all,
-            # while '' means every type.
+            # As 'bogus' above: only commas and blanks name no type at all.
             (
                 ["impact-factor", "--cite-year", "2005", "--doc-types", ","],
                 1,
@@ -361,6 +360,23 @@ class TestExitCodes:
                 ["impact-factor", "--cite-year", "2005", "--doc-types", " , ", *MISSING_INPUTS],
                 1,
                 "citenet impact-factor: bad --doc-types ' , '",
+            ),
+            # An empty value is given, so it is bad: only a missing option
+            # takes the default.
+            (
+                ["bradford", "--cite-year", "2005", "--targets", "", *MISSING_INPUTS],
+                1,
+                "citenet bradford: bad --targets ''",
+            ),
+            (
+                ["impact-factor", "--cite-year", "2005", "--doc-types", "", *MISSING_INPUTS],
+                1,
+                "citenet impact-factor: bad --doc-types ''",
+            ),
+            (
+                ["influence", "--cite-year", "2011", "--source-years", "", *MISSING_INPUTS],
+                1,
+                "citenet influence: bad --source-years ''",
             ),
             # A target that parses as a number but is not finite is a data error.
             (

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from citenet import (
+    CorpusBundle,
     DataError,
     DocType,
     DocumentRecord,
@@ -28,7 +29,9 @@ DATA = Path(__file__).resolve().parent / "data"
 
 class TestLoadCorpus:
     def test_minimal_two_file_corpus_loads(self):
-        bundle = load_corpus(edges=DATA / "mini" / "edges.csv", docs=DATA / "mini" / "docs.csv")
+        edges, docs = DATA / "mini" / "edges.csv", DATA / "mini" / "docs.csv"
+        bundle = load_corpus(edges=edges, docs=docs)
+        assert bundle == CorpusBundle(build_graph(read_edges(edges)[0], read_docs(docs)[0]), [])
         assert bundle.warnings == []
         assert bundle.graph.n_nodes == 7
         assert bundle.graph.n_edges == 10
@@ -299,7 +302,10 @@ class TestXYFile:
         assert read_xy(path, "y", "x") == (("y", "x", [(2.0, 1.0), (5.0, 3.0)]), [])
         with pytest.raises(DataError) as err:
             read_xy(path, x_col="z")
-        assert str(err.value) == f"{path}: 'z' is not in list"
+        assert str(err.value) == f"{path}: no column 'z' in the header"
+        with pytest.raises(DataError) as err:
+            read_xy(path, y_col="id ")
+        assert str(err.value) == f"{path}: no column 'id ' in the header"
 
     def test_blank_and_header_only_files(self, tmp_path):
         assert read_xy(self.write(tmp_path, "x,y\n")) == (("x", "y", []), [])

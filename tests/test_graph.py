@@ -111,6 +111,15 @@ class TestArrayForm:
         assert CitationGraph(()) == build_graph([]) and CitationGraph(()).n_edges == 0
 
 
+    def test_a_graph_cannot_be_changed(self):
+        g = build_graph([("a", "b")])
+        for change in (lambda: setattr(g, "nodes", ("c",)), lambda: delattr(g, "nodes"),
+                       lambda: setattr(g, "extra", 1), lambda: delattr(g, "_pairs")):
+            with pytest.raises(AttributeError, match="immutable"):
+                change()
+        assert g == build_graph([("a", "b")])
+
+
 class TestDocsOnlyGraph:
     """Without edges ``build_graph`` returns before building any array; the
     graph must be the one the general path builds."""

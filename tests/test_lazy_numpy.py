@@ -142,8 +142,18 @@ PROFILE = ["h-index", "--profile", str(DATA / "profile.csv")]
             ],
             ["citenet.study"],
         ),
+        # impact-factor ranks its values as total-cites ranks counts.
+        (
+            [
+                ["impact-factor", *MINI, "--cite-year", "2005"],
+                ["impact-factor", *MINI, "--cite-year", "2005", "--journal", "Alpha"],
+                ["impact-factor", *MINI, "--cite-year", "2005", "--doc-types", "article,review"],
+                PROFILE,
+            ],
+            ["citenet.ranking", "citenet.study"],
+        ),
     ],
-    ids=["docs-only", "no-study-logic"],
+    ids=["docs-only", "no-study-logic", "impact-factor"],
 )
 def test_commands_load_only_the_modules_they_run(commands, unused, tmp_path):
     commands = [[*args, "--out-dir", str(tmp_path)] for args in commands]

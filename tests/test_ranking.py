@@ -318,6 +318,10 @@ class TestInfluenceProducts:
         rng = np.random.default_rng(8)
         m = matrix_from(rng.integers(1, 25, size=(6, 6)), rng.integers(1, 30, size=6))
         result = influence_metrics(m)
+        weights = result.weights
+        assert result.iterations > 1
+        assert (result.iterations, result.residual, result.converged) == (
+            weights.iterations, weights.residual, weights.converged)
         pubs = dict(zip(m.journals, m.pubs.tolist()))
         w = np.array([result.weights[j] for j in m.journals])
         received = m.counts.T.astype(float) @ w
