@@ -361,23 +361,6 @@ class TestExitCodes:
                 1,
                 "citenet impact-factor: bad --doc-types ' , '",
             ),
-            # An empty value is given, so it is bad: only a missing option
-            # takes the default.
-            (
-                ["bradford", "--cite-year", "2005", "--targets", "", *MISSING_INPUTS],
-                1,
-                "citenet bradford: bad --targets ''",
-            ),
-            (
-                ["impact-factor", "--cite-year", "2005", "--doc-types", "", *MISSING_INPUTS],
-                1,
-                "citenet impact-factor: bad --doc-types ''",
-            ),
-            (
-                ["influence", "--cite-year", "2011", "--source-years", "", *MISSING_INPUTS],
-                1,
-                "citenet influence: bad --source-years ''",
-            ),
             # A target that parses as a number but is not finite is a data error.
             (
                 ["bradford", "--cite-year", "2005", "--zones", "2", "--targets", "nan"],
@@ -426,6 +409,23 @@ class TestExitCodes:
                 ["influence", "--cite-year", "-3", *MISSING_INPUTS],
                 1,
                 "citenet influence: argument --cite-year: -3 must be >= 1",
+            ),
+            # An empty value is given, so it is bad: only a missing option
+            # takes the default.
+            (
+                ["bradford", "--cite-year", "2005", "--targets", "", *MISSING_INPUTS],
+                1,
+                "citenet bradford: bad --targets ''",
+            ),
+            (
+                ["impact-factor", "--cite-year", "2005", "--doc-types", "", *MISSING_INPUTS],
+                1,
+                "citenet impact-factor: bad --doc-types ''",
+            ),
+            (
+                ["influence", "--cite-year", "2011", "--source-years", "", *MISSING_INPUTS],
+                1,
+                "citenet influence: bad --source-years ''",
             ),
         ],
     )
