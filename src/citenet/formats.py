@@ -251,6 +251,10 @@ def read_journal_matrix(path: Path) -> JournalCitationMatrix:
             pubs[index[name]] = int(row[-1])
         except OverflowError as exc:
             raise DataError(str(exc)) from None
+        if counts[index[name]].min() < 0:
+            raise DataError("citation counts must be nonnegative")
+        if pubs[index[name]] < 1:
+            raise DataError("every retained journal needs at least one publication")
 
     reader.parse(parse_journal)
     missing = set(journals) - seen

@@ -13,7 +13,7 @@ readers may query them concurrently.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Container, Iterable, Mapping, Sequence, Set
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -144,16 +144,19 @@ class CitationGraph:
     ``edge_arrays()`` order. The documents are held as columns beside
     the rows, and ``metadata`` maps each id to its
     :class:`DocumentRecord`, built from them on first read.
-    ``CitationGraph(nodes, edges, metadata)`` builds the rows from such
-    tuples, coding each id by its position in ``nodes``, and the columns
-    from the records; ``build_graph`` is the usual way to make a graph.
+    ``CitationGraph(nodes, edges, metadata)`` builds a graph from such
+    tuples and records, with ``build_graph``'s checks; it raises
+    :class:`DataError` on a duplicate node, a multiplicity that is not an
+    int >= 1, an endpoint or record id outside ``nodes``, or a
+    ``metadata`` key other than its record's id, and sorts ``nodes``.
+    ``build_graph`` is the usual way to make a graph.
     A graph is immutable: assigning or deleting an attribute raises
     ``AttributeError``.
     """
 
     nodes: tuple[str, ...]
     _pairs: list[int]
-    _rank: Sequence[int]
+    _rank: list[int]
     _docs: _DocColumns
 
     def __init__(
@@ -162,14 +165,22 @@ class CitationGraph:
         edges: Iterable[tuple[str, str, int]] = (),
         metadata: Mapping[str, DocumentRecord] | None = None,
     ) -> None:
-        vars(self)["nodes"] = tuple(nodes)
-        pairs = [self._node_index[x] for u, v, m in edges for x in (u, v) * m]
-        rank = list(range(len(self.nodes)))  # a list maps codes faster than a range
-        self._set_edges(_DocColumns.of((metadata or {}).values()), pairs, rank)
-
-    def _set_edges(self, docs: _DocColumns, pairs: list[int], rank: Sequence[int]) -> None:
-        """Set the document columns, the edge rows and the code -> node position map."""
-        vars(self).update(_docs=docs, _pairs=pairs, _rank=rank)
+        nodes, edges, metadata = tuple(nodes), tuple(edges), dict(metadata or {})
+        codes = {node: code for code, node in enumerate(nodes)}
+        if len(codes) < len(nodes):
+            raise DataError(f"duplicate node {Counter(nodes).most_common(1)[0][0]!r}")
+        bad = next((edge for edge in edges if not isinstance(edge[2], int) or edge[2] < 1), None)
+        if bad is not None:
+            raise DataError(f"edge {bad!r}: multiplicity must be an integer >= 1")
+        pairs = _intern(((u, v) for u, v, m in edges for _ in range(m)), codes)
+        docs = _DocColumns.of(metadata.values())
+        stray = (codes.keys() | docs.ids) - set(nodes)
+        if stray:
+            raise DataError(f"id {min(stray)!r} is an edge endpoint or record but not a graph node")
+        key = next((k for k, doc in metadata.items() if k != doc.id), None)
+        if key is not None:
+            raise DataError(f"metadata key {key!r} holds the record of {metadata[key].id!r}")
+        _lay_out(self, codes, pairs, docs)
 
     def __setattr__(self, name: str, *value: object) -> None:
         raise AttributeError(f"cannot assign or delete {name!r}: a CitationGraph is immutable")
@@ -294,11 +305,7 @@ class CitationGraph:
         codes = self._journal_codes
         type_codes = {t: code for code, t in enumerate(DocType)}
         for doc_id, venue, doc_year, t in zip(docs.ids, docs.venues, docs.years, docs.doc_types):
-            try:
-                i = idx[doc_id]
-            except KeyError:
-                raise DataError(
-                    f"document {doc_id!r} has a record but is not a graph node") from None
+            i = idx[doc_id]
             journal[i], year[i], doc_type[i] = codes.get(venue, -1), doc_year, type_codes[t]
         return journal, year, doc_type
 
@@ -342,26 +349,41 @@ def build_graph(
     ``load_corpus`` skips them. Nodes are the union of edge endpoints and
     document ids; an empty edge list is accepted.
     """
-    if isinstance(edge_list, _InternedEdges):  # load_corpus's rows skip the checks below
+    if isinstance(edge_list, _InternedEdges):  # load_corpus's rows are checked already
         codes, pairs, dropped = dict(edge_list.codes), edge_list.pairs, edge_list.dropped
     else:
-        codes, pairs, dropped = {}, [], set()  # pairs: citing, cited, ... in first-seen codes
-        for citing, cited in edge_list:
-            if not citing or not cited:
-                raise DataError(f"edge ({citing!r}, {cited!r}) has an empty endpoint")
-            if citing == cited:
-                raise DataError(f"self-loop on {citing!r}")
-            pairs += (codes.setdefault(citing, len(codes)), codes.setdefault(cited, len(codes)))
-
+        codes, dropped = {}, set()
+        pairs = _intern(edge_list, codes)
     docs = docs if isinstance(docs, _DocColumns) else _DocColumns.of(docs or ())
-    if not pairs:  # a docs-only graph needs no codes
-        graph = CitationGraph(sorted(docs.ids))
-        graph._set_edges(docs, [], ())
-        return graph
+    return _lay_out(CitationGraph.__new__(CitationGraph), codes, pairs, docs, dropped)
+
+
+def _intern(edge_list: Iterable[tuple[str, str]], codes: dict[str, int]) -> list[int]:
+    """The (citing, cited) codes of ``edge_list``, interleaved; an id not
+    yet in ``codes`` is added with the next code. Raises
+    :class:`DataError` on an empty endpoint or a self-loop."""
+    pairs: list[int] = []
+    for citing, cited in edge_list:
+        if not citing or not cited:
+            raise DataError(f"edge ({citing!r}, {cited!r}) has an empty endpoint")
+        if citing == cited:
+            raise DataError(f"self-loop on {citing!r}")
+        pairs += (codes.setdefault(citing, len(codes)), codes.setdefault(cited, len(codes)))
+    return pairs
+
+
+def _lay_out(graph: CitationGraph, codes: dict[str, int], pairs: list[int], docs: _DocColumns,
+             dropped: Set[int] = frozenset()) -> CitationGraph:
+    """Set ``graph``'s fields from checked rows and documents, and return it.
+
+    ``pairs`` holds (citing, cited) codes into ``codes``, interleaved.
+    The nodes are the ids of ``codes`` and ``docs``, sorted, less the
+    ``dropped`` codes that no row or document names (``load_corpus``
+    interns the ids of rows it then skips). ``_rank`` maps each code to
+    its node's position, so ``edge_arrays``' pair keys sort exactly as
+    the (citing, cited) strings.
+    """
     doc_codes = [codes.setdefault(doc_id, len(codes)) for doc_id in docs.ids]
-    # Only the ids in use are nodes (load_corpus interns the ids of rows it
-    # then skips), in sorted order; rank maps each code to its node, so
-    # edge_arrays' pair keys sort exactly as the (citing, cited) strings.
     ids = list(codes)
     order = sorted(range(len(ids)), key=ids.__getitem__)
     unused = dropped.difference(doc_codes)
@@ -371,9 +393,19 @@ def build_graph(
     rank = [0] * len(ids)  # an unused code keeps 0: no row names it
     for position, code in enumerate(order):
         rank[code] = position
-    graph = CitationGraph(map(ids.__getitem__, order))
-    graph._set_edges(docs, pairs, rank)
+    nodes = tuple(map(ids.__getitem__, order))
+    vars(graph).update(nodes=nodes, _rank=rank, _pairs=pairs, _docs=docs)
     return graph
+
+
+def _window_mask(graph: CitationGraph, first: int, last: int,
+                 doc_types: Container[DocType] | None = None) -> list[bool]:
+    """Node mask in ``nodes`` order: the documents with a record published
+    in ``first``..``last`` whose doc type is in ``doc_types`` (default:
+    any). A node without a record is in no window."""
+    _, year, doc_type = graph.node_columns()
+    allowed = [doc_types is None or t in doc_types for t in DocType] + [False]  # -1: no record
+    return [allowed[t] and first <= y <= last for y, t in zip(year, doc_type)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -480,11 +512,9 @@ def aggregate_to_journal_matrix(
     Raises :class:`DataError` when a document inside the window has no
     venue (the first in ``nodes`` order is named).
     """
-    journal, year = (np.array(column, dtype=np.int64) for column in graph.node_columns()[:2])
-    first, last = window.source_years
-    dated = year > 0  # nodes without a record carry year 0
-    in_source = dated & (year >= first) & (year <= last)
-    citing = dated & (year == window.cite_year)
+    journal = np.array(graph.node_columns()[0], dtype=np.int64)
+    in_source = np.array(_window_mask(graph, *window.source_years), dtype=bool)
+    citing = np.array(_window_mask(graph, window.cite_year, window.cite_year), dtype=bool)
     no_venue = np.flatnonzero((in_source | citing) & (journal < 0))
     if no_venue.size:
         doc_id = graph.nodes[no_venue[0]]

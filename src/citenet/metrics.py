@@ -9,7 +9,7 @@ from itertools import compress
 from typing import NamedTuple
 
 from .errors import DataError, UndefinedMetricError
-from .graph import CitationGraph, DocType, TimeWindow
+from .graph import CitationGraph, DocType, TimeWindow, _window_mask
 
 
 @dataclass(frozen=True)
@@ -117,11 +117,9 @@ def _impact_counts(
     allowed = set(DocType if doc_types is None else doc_types)
 
     def count() -> tuple[list[int], list[int]]:
-        journal, year, doc_type = graph.node_columns()
-        first, last = TimeWindow.two_year(cite_year).source_years
-        types = [t in allowed for t in DocType] + [False]  # code -1: no record
-        item = [first <= y <= last and types[t] for y, t in zip(year, doc_type)]
-        citing = _dated(year, cite_year)
+        journal = graph.node_columns()[0]
+        item = _window_mask(graph, *TimeWindow.two_year(cite_year).source_years, allowed)
+        citing = _window_mask(graph, cite_year, cite_year)
         cited = (journal[v] for u, v in zip(*graph.edge_rows) if item[v] and citing[u])
         return _per_journal(graph, cited), _per_journal(graph, compress(journal, item))
 
@@ -155,14 +153,6 @@ def profile_summary(profile: CitationProfile | Sequence[int]) -> ProfileSummary:
     return ProfileSummary(h, core[0], core[0] - core[-1], sum(core))
 
 
-def _dated(year: list[int], wanted: int) -> list[bool]:
-    """Node mask: documents with a record published in ``wanted``.
-
-    Nodes without a record carry year 0, which no real year matches.
-    """
-    return [y == wanted for y in year] if wanted > 0 else [False] * len(year)
-
-
 def _per_journal(graph: CitationGraph, codes: Iterable[int]) -> list[int]:
     """Group-by-journal count: how often each journal code occurs in
     ``codes``, one slot per journal in ``graph.journals()`` order.
@@ -175,8 +165,8 @@ def _per_journal(graph: CitationGraph, codes: Iterable[int]) -> list[int]:
 
 def _cite_counts(graph: CitationGraph, cite_year: int) -> list[int]:
     def count() -> list[int]:
-        journal, year, _ = graph.node_columns()
-        citing = _dated(year, cite_year)
+        journal = graph.node_columns()[0]
+        citing = _window_mask(graph, cite_year, cite_year)
         return _per_journal(graph, (journal[v] for u, v in zip(*graph.edge_rows) if citing[u]))
 
     return graph._derived(("cites", cite_year), count)
@@ -194,13 +184,13 @@ def journal_cite_counts(graph: CitationGraph, cite_year: int) -> dict[str, int]:
 
 def journal_article_counts(graph: CitationGraph, year: int) -> dict[str, int]:
     """Documents published per journal in ``year``."""
-    journal, years, _ = graph.node_columns()
-    return _as_dict(graph, _per_journal(graph, compress(journal, _dated(years, year))))
+    journal = graph.node_columns()[0]
+    return _as_dict(graph, _per_journal(graph, compress(journal, _window_mask(graph, year, year))))
 
 
 def journal_reference_counts(graph: CitationGraph, year: int) -> dict[str, int]:
     """References given per journal by documents published in ``year``."""
-    journal, years, _ = graph.node_columns()
-    citing = _dated(years, year)
+    journal = graph.node_columns()[0]
+    citing = _window_mask(graph, year, year)
     return _as_dict(graph, _per_journal(graph, (journal[u] for u in graph.edge_rows[0]
                                                 if citing[u])))

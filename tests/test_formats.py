@@ -244,6 +244,17 @@ class TestMatrixFile:
         assert np.array_equal(m.counts, [[0, 1], [3, 0]])
         assert m.pubs.tolist() == [2, 4]
 
+    @pytest.mark.parametrize("rows, line, message", [
+        ("A,1,-2,3\nB,1,1,1\n", 2, "citation counts must be nonnegative"),
+        ("A,1,2,3\nB,1,1,0\n", 3, "every retained journal needs at least one publication"),
+    ], ids=["negative-count", "zero-pubs"])
+    def test_bad_count_names_its_line(self, tmp_path, rows, line, message):
+        path = tmp_path / "m.csv"
+        path.write_text("journal,A,B,pubs\n" + rows)
+        with pytest.raises(DataError) as err:
+            read_journal_matrix(path)
+        assert str(err.value) == f"{path}:{line}: {message}"
+
     def test_duplicate_header_journal_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("journal,A,A,pubs\nA,0,1,2\n")

@@ -110,6 +110,29 @@ class TestArrayForm:
                              metadata=g.metadata) != g
         assert CitationGraph(()) == build_graph([]) and CitationGraph(()).n_edges == 0
 
+    def test_edge_tuples_sort_the_nodes(self):
+        g = CitationGraph(nodes=("c", "b", "a"), edges=[("c", "a", 2)])
+        assert g.nodes == ("a", "b", "c")
+        assert g.edges == (("c", "a", 2),) and g.in_degree("a") == 2 and g.out_degree("b") == 0
+
+    @pytest.mark.parametrize("nodes, edges, metadata, message", [
+        (("a", "c"), [("a", "b", 1)], None, "id 'b' is an edge endpoint or record but not"),
+        (("a", "c"), [("a", "a", 2)], None, "self-loop on 'a'"),
+        (("a", ""), [("a", "", 1)], None, "has an empty endpoint"),
+        (("a", "c"), [("a", "c", -1)], None, "multiplicity must be an integer >= 1"),
+        (("a", "c"), [("a", "c", 0)], None, "multiplicity must be an integer >= 1"),
+        (("a", "c"), [("a", "c", 1.5)], None, "multiplicity must be an integer >= 1"),
+        (("a", "c", "a"), [], None, "duplicate node 'a'"),
+        (("a", "c"), [], {"x": DocumentRecord("a", "J", 2000)},
+         "metadata key 'x' holds the record of 'a'"),
+        (("a",), [], {"b": DocumentRecord("b", "J", 2000)},
+         "id 'b' is an edge endpoint or record but not"),
+    ], ids=["unknown-endpoint", "self-loop", "empty-endpoint", "negative-multiplicity",
+            "zero-multiplicity", "float-multiplicity", "duplicate-node", "key-not-id",
+            "record-not-node"])
+    def test_edge_tuples_are_checked(self, nodes, edges, metadata, message):
+        with pytest.raises(DataError, match=message):
+            CitationGraph(nodes=nodes, edges=edges, metadata=metadata)
 
     def test_a_graph_cannot_be_changed(self):
         g = build_graph([("a", "b")])
@@ -121,8 +144,9 @@ class TestArrayForm:
 
 
 class TestDocsOnlyGraph:
-    """Without edges ``build_graph`` returns before building any array; the
-    graph must be the one the general path builds."""
+    """A graph without edges goes through the same layout as one with
+    edges: its nodes are the sorted document ids, and its columns are
+    the ones a graph over the same documents with an edge has."""
 
     DOCS = [
         DocumentRecord("c", "J", 2001),

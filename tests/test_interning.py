@@ -15,7 +15,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from citenet import DataError, DocType, DocumentRecord, build_graph, load_corpus
+from citenet import CitationGraph, DataError, DocType, DocumentRecord, build_graph, load_corpus
 from citenet.cli import main
 from citenet.formats import _RowReader, read_docs
 
@@ -115,6 +115,18 @@ def test_permuted_rows_give_the_same_graph(corpus):
     for a, b in zip(g1.edge_arrays(), g2.edge_arrays()):
         assert a.dtype == b.dtype and np.array_equal(a, b)
     assert g1.node_columns() == g2.node_columns()
+
+
+@settings(PROPERTY, max_examples=300)
+@given(corpora())
+def test_edge_tuples_rebuild_the_graph(corpus):
+    rows, docs, _ = corpus
+    g = build_graph(rows, docs)
+    rebuilt = CitationGraph(g.nodes, g.edges, g.metadata)
+    assert rebuilt == g
+    for a, b in zip(rebuilt.edge_arrays(), g.edge_arrays()):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert rebuilt.node_columns() == g.node_columns()
 
 
 @settings(PROPERTY, max_examples=30)

@@ -353,9 +353,8 @@ class TestNodeColumns:
 
     def test_record_outside_nodes_is_rejected(self):
         doc = DocumentRecord("a", "J", 2000)
-        g = CitationGraph(nodes=(), edges=(), metadata={"a": doc})
         with pytest.raises(DataError, match="not a graph node"):
-            g.node_columns()
+            CitationGraph(nodes=(), edges=(), metadata={"a": doc})
 
     def test_journal_index(self):
         g = random_graph(7)

@@ -224,3 +224,32 @@ def test_bench_tracer_targets_exist_after_cli_import():
     """)
     run = run_fresh(script, path=(BENCH,))
     assert run.returncode == 0, run.stderr
+
+
+def test_bench_tracer_graph_targets_are_called(monkeypatch, tmp_path):
+    # A target that still exists but is no longer called through its
+    # owner would read 0 s under --trace 1, so wrap each one as
+    # bench/tracing.py does and count the calls.
+    import citenet.cli
+    from citenet import formats
+    from citenet.graph import CitationGraph
+
+    calls = []
+    for owner, attr in ((formats, "build_graph"), (CitationGraph, "edge_arrays"),
+                        (citenet.cli, "aggregate_to_journal_matrix")):
+        assert attr in vars(owner)
+
+        def wrapper(*args, _fn=getattr(owner, attr), _attr=attr, **kwargs):
+            calls.append(_attr)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, wrapper)
+    mini = ["--edges", str(DATA / "mini" / "edges.csv"), "--docs", str(DATA / "mini" / "docs.csv")]
+    assert citenet.cli.main(["influence", "--cite-year", "2005", *mini,
+                             "--out-dir", str(tmp_path / "influence")]) == 0
+    assert set(calls) == {"build_graph", "edge_arrays", "aggregate_to_journal_matrix"}
+    calls.clear()
+    docs = DATA / "laureates_authors" / "docs.csv"
+    assert citenet.cli.main(["study", "sample", "--docs", str(docs), "--author", SUBJECT_NAMES[0],
+                             "--out-dir", str(tmp_path / "sample")]) == 0
+    assert calls == ["build_graph"]

@@ -4,8 +4,9 @@ decides between a ``file:line`` warning and a strict-mode abort.
 
 The oracles below are the reader loops that each wrote out that decision
 before, copied verbatim, except that the rank loop gains the repeated-key
-rule, the profile loop the one-field rule and the xy loop the rule that a
-non-finite number is a bad row.
+rule, the profile loop the one-field rule, the xy loop the rule that a
+non-finite number is a bad row and the matrix loop the rule that a
+negative count or a pubs below 1 is a bad row.
 Examples are derandomized and kept in no example database, so every run
 draws the same cases.
 """
@@ -123,6 +124,12 @@ def loop_read_journal_matrix(path, strict=True):
             pubs[index[name]] = int(row[-1])
         except (ValueError, OverflowError) as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from None
+        # The one addition: a negative count or a pubs below 1 names its line.
+        if counts[index[name]].min() < 0:
+            raise DataError(f"{path}:{lineno}: citation counts must be nonnegative")
+        if pubs[index[name]] < 1:
+            raise DataError(
+                f"{path}:{lineno}: every retained journal needs at least one publication")
     missing = set(journals) - seen
     if missing:
         raise DataError(f"{path}: missing rows for journals {sorted(missing)}")
@@ -192,7 +199,8 @@ EXAMPLES = {
     "ranks": [b"journal,year,indexed,tc_rank,if_rank\nJ,2001,true,10,20\nJ,2001,maybe,1,2\n"
               b"J, 2001,true,900,1200\nJ,2001,true,0,1\nK,2001,no,,\n"],
     "profile": [b"cites\n3\n-1\n 4 ,x\nnan\n"],
-    "matrix": [b"journal,A,B,pubs\nC,1\n", b"journal,A,B,pubs\nA,0,1,2\nA,1\n"],
+    "matrix": [b"journal,A,B,pubs\nC,1\n", b"journal,A,B,pubs\nA,0,1,2\nA,1\n",
+               b"journal,A,B,pubs\nA,1,-2,3\nB,1,1,0\n"],
     "xy": [b"x,y\n1,2\nnan,inf\n1\n,\n", b"x,y\n1e999,2\n3,-Infinity\n4,5\n"],
     "edges": [b"citing_id,cited_id\na1,ghost\nb1,b1\nx\nghost,ghost\n"],
 }
