@@ -6,6 +6,9 @@ each attribute it hands out, so a command that never touches an array
 (every command but the solvers and a ``--matrix`` input) never pays for
 the import.
 
+``cli.main``, not this module, sets ``OPENBLAS_NUM_THREADS``, so library
+callers keep their process's BLAS threads.
+
 A thread that reads ``np.x`` while another is importing numpy waits on
 the import lock and sees numpy fully initialised. ``sys.modules`` only
 ever holds the real numpy.

@@ -13,6 +13,7 @@ each handler imports the modules it runs when it is called.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections.abc import Iterable, Iterator, Sequence
 from contextlib import contextmanager
@@ -633,6 +634,9 @@ def _cmd_correlate(args) -> tuple[list[tuple[str, StudyTable]], int]:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    # No command calls a BLAS routine (ranking._dot reduces with np.add.reduce), and
+    # OpenBLAS's thread pool costs ~50 ms to start and ~13 ms at exit. A caller's value wins.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -169,6 +169,8 @@ def journals_for_share(curve: ShareCurve, p: float) -> int:
 
 def count_above_threshold(ranked: RankedCounts, threshold: int) -> int:
     """How many ids have a count of at least ``threshold``."""
+    if threshold < 0:
+        raise DataError(f"threshold must be >= 0, got {threshold}")
     return sum(1 for _, count in ranked.items if count >= threshold)
 
 

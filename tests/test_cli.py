@@ -167,6 +167,13 @@ class TestExitCodes:
                      "--cite-year", "2005", "--journal", "Nope"])
         assert code == 2
 
+    def test_negative_share_curve_threshold_is_a_data_error(self, capsys):
+        assert main(["share-curve", *MINI_INPUTS, "--cite-year", "2005",
+                     "--threshold", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "citenet: error: threshold must be >= 0, got -1\n"
+        assert captured.out == ""
+
     def test_non_convergence_exit(self, tmp_path, capsys):
         code = main(["pagerank", "--edges", str(DATA / "mini" / "edges.csv"),
                      "--max-iter", "2", "--tol", "1e-30",

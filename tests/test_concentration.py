@@ -310,6 +310,11 @@ class TestCountAboveThreshold:
         assert count_above_threshold(ranked, 1000) == 1
         assert count_above_threshold(ranked, 0) == 4
 
+    def test_negative_threshold_is_rejected(self):
+        ranked = RankedCounts.from_counts({"a": 3, "b": 1})
+        with pytest.raises(DataError, match=r"^threshold must be >= 0, got -1$"):
+            count_above_threshold(ranked, -1)
+
     def test_matches_filter_oracle(self):
         rng = random.Random(13)
         counts = {f"j{i:02d}": rng.randrange(0, 2000) for i in range(40)}

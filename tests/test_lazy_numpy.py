@@ -21,8 +21,14 @@ SRC = TESTS.parent / "src"
 BENCH = TESTS.parent / "bench"
 
 
-def run_fresh(script: str, *args: str, path: tuple[Path, ...] = ()) -> subprocess.CompletedProcess:
+def run_fresh(script: str, *args: str, path: tuple[Path, ...] = (),
+              blas_threads: str | None = None) -> subprocess.CompletedProcess:
+    # OPENBLAS_NUM_THREADS is the given value, or unset: an in-process
+    # cli.main() earlier in the session has set it in this environment.
     env = dict(os.environ)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC), *map(str, path), env.get("PYTHONPATH")])
     )
@@ -90,6 +96,27 @@ def test_threads_racing_the_first_import_all_get_numpy():
     """)
     run = run_fresh(script)
     assert run.returncode == 0, run.stderr
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")], ids=["unset", "preset"])
+def test_solver_command_starts_no_blas_thread(preset, expected, tmp_path):
+    # No command calls BLAS, so cli.main keeps OpenBLAS from starting its
+    # thread pool when numpy loads, unless the caller chose a value.
+    script = textwrap.dedent("""
+        import os, sys
+        import citenet.cli
+        assert citenet.cli.main(sys.argv[2:]) == 0
+        assert "numpy" in sys.modules
+        if sys.argv[1] == "1" and os.path.isdir("/proc/self/task"):
+            threads = os.listdir("/proc/self/task")
+            assert len(threads) == 1, threads
+        value = os.environ.get("OPENBLAS_NUM_THREADS")
+        assert value == sys.argv[1], value
+    """)
+    run = run_fresh(script, expected, "pagerank", "--edges", str(DATA / "mini" / "edges.csv"),
+                    "--out-dir", str(tmp_path), blas_threads=preset)
+    assert run.returncode == 0, run.stderr
+    assert (tmp_path / "pagerank.csv").exists()
 
 
 def test_cli_import_loads_errors_and_graph_only():

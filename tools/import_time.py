@@ -48,7 +48,12 @@ def import_seconds(src: Path, module: str) -> float:
 
 
 def summary(name: str, seconds: list[float]) -> str:
-    q1, median, q3 = (1000 * q for q in statistics.quantiles(seconds, n=4, method="inclusive"))
+    # One sample is its own median and quartiles; quantiles() needs two.
+    if len(seconds) == 1:
+        quartiles = seconds * 3
+    else:
+        quartiles = statistics.quantiles(seconds, n=4, method="inclusive")
+    q1, median, q3 = (1000 * q for q in quartiles)
     return f"{name:<7} median {median:7.2f} ms  quartiles {q1:.2f}-{q3:.2f} ms"
 
 
